@@ -146,20 +146,23 @@ int main(int argc, char** argv) {
       const char* name;
       core::ExchangeAlgorithm algo;
       bool overlap;
+      int k;  ///< KAry radix; 0 for the other algorithms
     };
     for (const Cfg& x : {Cfg{"ALL-TO-ALLV collective (paper)",
-                             core::ExchangeAlgorithm::Alltoallv, false},
+                             core::ExchangeAlgorithm::Alltoallv, false, 0},
                          Cfg{"1-factor pairwise rounds",
-                             core::ExchangeAlgorithm::OneFactor, false},
+                             core::ExchangeAlgorithm::OneFactor, false, 0},
                          Cfg{"1-factor + merge-on-arrival overlap",
-                             core::ExchangeAlgorithm::OneFactor, true},
-                         Cfg{"hypercube store-and-forward",
-                             core::ExchangeAlgorithm::Hypercube, false},
+                             core::ExchangeAlgorithm::OneFactor, true, 0},
+                         Cfg{"hypercube store-and-forward (k-ary, k=2)",
+                             core::ExchangeAlgorithm::KAry, false, 2},
                          Cfg{"hierarchical node leaders",
-                             core::ExchangeAlgorithm::Hierarchical, false}}) {
+                             core::ExchangeAlgorithm::Hierarchical, false,
+                             0}}) {
       core::SortConfig scfg;
       scfg.exchange = x.algo;
       scfg.overlap_merge = x.overlap;
+      if (x.k > 0) scfg.exchange_k = x.k;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
       t.add_row({x.name, fmt(r.time)});
     }

@@ -1,20 +1,18 @@
-// Exchange data-path study: real wall-clock comparison of the single-copy
-// pull path (Comm::alltoallv_into, DESIGN.md sec. 11) against the legacy
-// packed path for the exchange and merge supersteps, at P in {8, 16} on u64
-// keys and 64-byte records.
+// Exchange wall-clock study: the direct ALL-TO-ALLV exchange
+// (Comm::alltoallv_into, the single-copy data path of DESIGN.md sec. 11)
+// and the k-ary interleaved exchange (DESIGN.md sec. 13) for the exchange
+// and merge supersteps, at P in {8, 16} on u64 keys and 64-byte records.
 //
 // Like bench_local_sort this measures *real* time, not simulated time: the
-// two paths charge bit-identical simulated costs by construction (asserted
-// in test_exchange_datapath.cpp), so the only observable difference is the
-// wall-clock of the copies the data path saves. The exchange superstep and
-// the merge superstep are timed separately (barrier-to-barrier on rank 0's
-// clock): the merge does identical comparison-bound work on both paths, so
-// folding it into one number would bury the copy delta the bench exists to
-// see — the CI gate therefore reads the phase=="exchange" cells, while the
-// "exchange+merge" cells document the end-to-end effect. Splitters are
-// computed once per cell and reused across reps. Emits BENCH_exchange.json
-// (one object per (type, P, path, phase) cell) consumed by the ci.sh perf
-// gate.
+// simulated clock is fixed by the cost model, so the wall-clock is what
+// shows the copies and the merge work the code actually performs. The
+// alltoallv exchange superstep and the exchange+merge supersteps are timed
+// separately (barrier-to-barrier on rank 0's clock): the exchange cell
+// isolates the copy cost, the exchange+merge cell is the comparand of the
+// k-ary cells, whose overlapped merge makes them one combined phase.
+// Splitters are computed once per cell and reused across reps. Emits
+// BENCH_exchange.json (one object per (type, P, algo, k, phase) cell),
+// shape-checked by tools/validate_bench.py.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -52,13 +50,14 @@ struct Rec64 {
 struct Cell {
   std::string type;
   int nranks = 0;
-  std::string path;
   std::string phase;  // "exchange" | "exchange+merge"
   usize n_per_rank = 0;
   double seconds_median = 0.0;
-  double speedup_vs_packed = 1.0;
   std::string algo = "alltoallv";  // "alltoallv" | "kary"
   int k = 0;                       // k-ary radix; 0 for alltoallv
+  /// k-ary cells only: the alltoallv exchange+merge median of the same
+  /// (type, P, n) divided by this cell's median.
+  double speedup_vs_alltoallv = 0.0;
   /// Per-round simulated-time attribution (k-ary cells only): how much of
   /// each round is communication vs overlapped tail merge on rank 0.
   std::vector<core::KAryRoundTrace> rounds;
@@ -70,7 +69,7 @@ struct Timing {
 };
 
 template <class T, class KeyFn, class MakeFn>
-Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
+Timing time_exchange(int P, usize n, int reps, u64 seed,
                      core::MergeStrategy merge, KeyFn key, MakeFn make) {
   runtime::Team team({.nranks = P});
   std::vector<double> t_exchange, t_total;
@@ -89,12 +88,12 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
 
     // Two separate rep loops rather than split timestamps in one: the merge
     // between reps perturbs allocator and cache state enough to swamp the
-    // exchange delta on an oversubscribed host, so the gated exchange cells
-    // are measured with nothing else in the loop.
+    // copy cost on an oversubscribed host, so the exchange cells are
+    // measured with nothing else in the loop.
     for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
       c.barrier();
       const double t0 = now_s();
-      auto ex = core::exchange(c, sorted_view, sp, path);
+      auto ex = core::exchange(c, sorted_view, sp);
       c.barrier();
       const double t1 = now_s();
       usize off = 0;
@@ -115,7 +114,7 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
     for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
       c.barrier();
       const double t0 = now_s();
-      auto ex = core::exchange(c, sorted_view, sp, path);
+      auto ex = core::exchange(c, sorted_view, sp);
       core::merge_chunks(c, ex.data, std::span<const usize>(ex.recv_counts),
                          merge, key);
       c.barrier();
@@ -138,8 +137,8 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
 /// per-round simulated breakdown (communication vs overlapped merge) is
 /// captured from rank 0 during the warmup rep — it is deterministic.
 template <class T, class KeyFn, class MakeFn>
-double time_kary(int P, usize n, int reps, u64 seed, core::DataPath path,
-                 int k, KeyFn key, MakeFn make,
+double time_kary(int P, usize n, int reps, u64 seed, int k, KeyFn key,
+                 MakeFn make,
                  std::vector<core::KAryRoundTrace>& trace_out) {
   runtime::Team team({.nranks = P});
   std::vector<double> t_total;
@@ -160,7 +159,7 @@ double time_kary(int P, usize n, int reps, u64 seed, core::DataPath path,
       c.barrier();
       const double t0 = now_s();
       auto ex = core::exchange_kary(
-          c, sorted_view, sp, key, k, /*overlap_merge=*/true, path,
+          c, sorted_view, sp, key, k, /*overlap_merge=*/true,
           (r == 0 && c.rank() == 0) ? &trace_out : nullptr);
       c.barrier();
       const double t1 = now_s();
@@ -178,8 +177,8 @@ double time_kary(int P, usize n, int reps, u64 seed, core::DataPath path,
 }
 
 /// One representative traced run for --trace / --ledger (satellite of the
-/// observability PR): u64 keys at P=16 through the pull-path k-ary exchange
-/// with merge overlap — the configuration the CI gate watches — executed
+/// observability PR): u64 keys at P=16 through the k-ary exchange with
+/// merge overlap — the configuration the perf history tracks — executed
 /// once in a trace-enabled team so the run ledger gets real slices. The
 /// wall-clock cells above stay untraced: tracing is observational for
 /// simulated time but not for the real time they measure.
@@ -212,8 +211,7 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
     }();
     net::PhaseScope ps(c.clock(), net::Phase::Exchange);
     auto ex = core::exchange_kary(c, sorted_view, sp, key, kArity,
-                                  /*overlap_merge=*/true,
-                                  core::DataPath::Pull, nullptr);
+                                  /*overlap_merge=*/true);
     if (!std::is_sorted(ex.data.begin(), ex.data.end())) {
       std::cerr << "FATAL: traced k-ary exchange produced unsorted output\n";
       std::exit(1);
@@ -222,9 +220,9 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
   bench::write_trace_if_requested(args, team);
 
   // Headline cells for the perf history: deterministic simulated seconds
-  // from the traced run (gated at >10% regression) plus the wall-clock
-  // speedups of the gate cells (recorded, warn-only — they move with the
-  // host machine).
+  // from the traced run (gated at >10% regression) plus the best k-ary
+  // wall-clock speedup over alltoallv (recorded, warn-only — it moves with
+  // the host machine).
   std::vector<std::pair<std::string, double>> scalars = {
       {"sim_makespan_s", team.stats().makespan_s},
       {"sim_exchange_s", team.stats().phase_seconds(net::Phase::Exchange)},
@@ -232,23 +230,17 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
       {"sim_histogram_s", team.stats().phase_seconds(net::Phase::Histogram)},
   };
   double best_kary = 0.0;
-  for (const Cell& cell : cells) {
-    if (cell.type != "u64" || cell.nranks != P) continue;
-    if (cell.algo == "kary")
-      best_kary = std::max(best_kary, cell.speedup_vs_packed);
-    else if (cell.path == "pull" && cell.phase == "exchange")
-      scalars.emplace_back("wall_pull_speedup_u64_exchange",
-                           cell.speedup_vs_packed);
-  }
+  for (const Cell& cell : cells)
+    if (cell.type == "u64" && cell.nranks == P && cell.algo == "kary")
+      best_kary = std::max(best_kary, cell.speedup_vs_alltoallv);
   if (best_kary > 0.0)
-    scalars.emplace_back("wall_kary_best_speedup_u64", best_kary);
+    scalars.emplace_back("wall_kary_best_vs_alltoallv_u64", best_kary);
 
   bench::write_ledger_if_requested(
       args, team, "bench_exchange", static_cast<u64>(n) * P,
       {{"type", "u64"},
        {"algo", "kary"},
        {"k", std::to_string(kArity)},
-       {"path", "pull"},
        {"n_per_rank", std::to_string(n)},
        {"seed", std::to_string(seed)}},
       std::move(scalars));
@@ -260,11 +252,12 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
   for (usize i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     out << "  {\"type\": \"" << c.type << "\", \"nranks\": " << c.nranks
-        << ", \"path\": \"" << c.path << "\", \"phase\": \"" << c.phase
+        << ", \"phase\": \"" << c.phase
         << "\", \"n_per_rank\": " << c.n_per_rank
         << ", \"seconds_median\": " << c.seconds_median
-        << ", \"speedup_vs_packed\": " << c.speedup_vs_packed
         << ", \"algo\": \"" << c.algo << "\", \"k\": " << c.k;
+    if (c.algo == "kary")
+      out << ", \"speedup_vs_alltoallv\": " << c.speedup_vs_alltoallv;
     if (!c.rounds.empty()) {
       out << ", \"rounds\": [";
       for (usize r = 0; r < c.rounds.size(); ++r)
@@ -298,74 +291,60 @@ int main(int argc, char** argv) {
                                        : core::MergeStrategy::BinaryTree);
 
   bench::print_header(
-      "Exchange data-path study (real wall-clock)",
-      "single-copy pull vs packed alltoallv; exchange and merge supersteps, "
-      "median of " +
+      "Exchange study (real wall-clock)",
+      "alltoallv exchange and k-ary interleaved exchange; exchange and "
+      "merge supersteps, median of " +
           std::to_string(reps) + " reps, merge=" + merge_arg);
 
-  Table table({"type", "P", "n/rank", "phase", "packed t[s]", "pull t[s]",
-               "speedup"});
+  Table table({"type", "P", "n/rank", "exchange t[s]",
+               "exchange+merge t[s]"});
   std::vector<Cell> cells;
 
-  Table kary_table({"type", "P", "n/rank", "k", "rounds", "packed t[s]",
+  Table kary_table({"type", "P", "n/rank", "k", "rounds", "alltoallv t[s]",
                     "kary t[s]", "speedup"});
 
-  // Returns the packed exchange+merge median — the baseline the k-ary
-  // cells of the same (type, P, n) are gated against.
+  // Returns the alltoallv exchange+merge median — the comparand of the
+  // k-ary cells of the same (type, P, n).
   auto run_cell = [&](const std::string& type, int P, usize n, auto key,
                       auto make) {
     using T = std::decay_t<decltype(make(std::declval<Xoshiro256&>()))>;
-    const Timing packed = time_exchange<T>(
-        P, n, reps, seed, core::DataPath::Packed, merge, key, make);
-    const Timing pull = time_exchange<T>(P, n, reps, seed,
-                                         core::DataPath::Pull, merge, key,
-                                         make);
-    const auto emit = [&](const std::string& phase, double t_packed,
-                          double t_pull) {
-      const double speedup = t_pull > 0.0 ? t_packed / t_pull : 0.0;
-      Cell packed_cell;
-      packed_cell.type = type;
-      packed_cell.nranks = P;
-      packed_cell.path = "packed";
-      packed_cell.phase = phase;
-      packed_cell.n_per_rank = n;
-      packed_cell.seconds_median = t_packed;
-      Cell pull_cell = packed_cell;
-      pull_cell.path = "pull";
-      pull_cell.seconds_median = t_pull;
-      pull_cell.speedup_vs_packed = speedup;
-      cells.push_back(std::move(packed_cell));
-      cells.push_back(std::move(pull_cell));
-      table.add_row({type, std::to_string(P), std::to_string(n), phase,
-                     fmt(t_packed), fmt(t_pull), fmt(speedup) + "x"});
-    };
-    emit("exchange", packed.exchange, pull.exchange);
-    emit("exchange+merge", packed.total, pull.total);
-    return packed.total;
+    const Timing t = time_exchange<T>(P, n, reps, seed, merge, key, make);
+    for (const auto& [phase, secs] :
+         {std::pair<std::string, double>{"exchange", t.exchange},
+          std::pair<std::string, double>{"exchange+merge", t.total}}) {
+      Cell cell;
+      cell.type = type;
+      cell.nranks = P;
+      cell.phase = phase;
+      cell.n_per_rank = n;
+      cell.seconds_median = secs;
+      cells.push_back(std::move(cell));
+    }
+    table.add_row({type, std::to_string(P), std::to_string(n),
+                   fmt(t.exchange), fmt(t.total)});
+    return t.total;
   };
 
   auto run_kary_cell = [&](const std::string& type, int P, usize n, int k,
-                           double packed_total, auto key, auto make) {
+                           double alltoallv_total, auto key, auto make) {
     using T = std::decay_t<decltype(make(std::declval<Xoshiro256&>()))>;
     Cell cell;
     cell.type = type;
     cell.nranks = P;
-    cell.path = "pull";
     cell.phase = "exchange+merge";
     cell.n_per_rank = n;
     cell.algo = "kary";
     cell.k = k;
-    cell.seconds_median = time_kary<T>(P, n, reps, seed,
-                                       core::DataPath::Pull, k, key, make,
-                                       cell.rounds);
-    cell.speedup_vs_packed = cell.seconds_median > 0.0
-                                 ? packed_total / cell.seconds_median
-                                 : 0.0;
+    cell.seconds_median =
+        time_kary<T>(P, n, reps, seed, k, key, make, cell.rounds);
+    cell.speedup_vs_alltoallv = cell.seconds_median > 0.0
+                                    ? alltoallv_total / cell.seconds_median
+                                    : 0.0;
     kary_table.add_row({type, std::to_string(P), std::to_string(n),
                         std::to_string(k),
                         std::to_string(cell.rounds.size()),
-                        fmt(packed_total), fmt(cell.seconds_median),
-                        fmt(cell.speedup_vs_packed) + "x"});
+                        fmt(alltoallv_total), fmt(cell.seconds_median),
+                        fmt(cell.speedup_vs_alltoallv) + "x"});
     cells.push_back(std::move(cell));
   };
 
@@ -379,18 +358,18 @@ int main(int argc, char** argv) {
   };
 
   for (int P : {8, 16}) {
-    const double u64_packed = run_cell("u64", P, n_u64, u64_key, u64_make);
-    const double rec_packed = run_cell("rec64", P, n_rec, rec_key, rec_make);
+    const double u64_total = run_cell("u64", P, n_u64, u64_key, u64_make);
+    const double rec_total = run_cell("rec64", P, n_rec, rec_key, rec_make);
     for (int k : {2, 4, 8, P}) {
       if (k == P && P == 8) continue;  // k=8 already covers it
-      run_kary_cell("u64", P, n_u64, k, u64_packed, u64_key, u64_make);
-      run_kary_cell("rec64", P, n_rec, k, rec_packed, rec_key, rec_make);
+      run_kary_cell("u64", P, n_u64, k, u64_total, u64_key, u64_make);
+      run_kary_cell("rec64", P, n_rec, k, rec_total, rec_key, rec_make);
     }
   }
 
   std::cout << table.to_string();
-  std::cout << "\nk-ary interleaved exchange (overlap_merge, pull path) vs "
-               "packed alltoallv exchange+merge:\n"
+  std::cout << "\nk-ary interleaved exchange (overlap_merge) vs alltoallv "
+               "exchange+merge:\n"
             << kary_table.to_string();
   run_traced_representative(args, n_u64, seed, cells);
   write_json(out_path, cells);

@@ -61,15 +61,14 @@ echo "=== perf smoke: bench_local_sort ==="
 python3 tools/validate_bench.py local_sort \
   build-ci-relwithdebinfo/BENCH_local_sort.json
 
-# Perf gate: the single-copy pull path must beat the packed path by >= 1.3x
-# on the u64 P=16 exchange superstep (DESIGN.md sec. 11 — the copy-count
-# argument this PR's data path is built on), and the best k-ary interleaved
-# exchange must beat packed-alltoallv-plus-merge by >= 1.3x on the combined
-# u64 P=16 exchange+merge supersteps (DESIGN.md sec. 13 — fewer copies and
-# a single merge pass). The plain exchange+merge path cells are validated
-# for shape but not gated: the merge does identical work on both paths, so
-# its wall-clock only dilutes the copy delta.
-echo "=== perf gate: bench_exchange ==="
+# Exchange wall-clock cells: the alltoallv exchange (single-copy pull data
+# path, DESIGN.md sec. 11) and exchange+merge supersteps, and every k-ary
+# interleaved exchange cell reported against that exchange+merge cell
+# (DESIGN.md sec. 13). validate_bench.py checks the cell shape; the cells
+# are wall-clock and not ratio-gated. The traced representative run feeds
+# the perf-history stage below through LEDGER_exchange.json, whose sim_*
+# cells are gated there.
+echo "=== perf cells: bench_exchange ==="
 (cd build-ci-relwithdebinfo &&
   ./bench/bench_exchange --reps=7 \
     --out=BENCH_exchange.json --ledger=LEDGER_exchange.json)
@@ -135,7 +134,7 @@ for p in 4 8 16; do
 done
 
 # Model check (DESIGN.md sec. 15): the static schedule matcher over the
-# full algorithm x exchange x data-path grid (plus the seeded
+# full algorithm x exchange grid (plus the seeded
 # collective-order swap that must FAIL the lint), then bounded
 # schedule-space exploration of the histogram sort at P in {2, 3} and the
 # mailbox/borrow/recovery micro-protocols at P = 4 — deadlock-freedom,

@@ -9,7 +9,7 @@
 //
 //   ./quickstart [--ranks=8] [--keys-per-rank=100000] [--epsilon=0.0]
 //               [--trace=trace.json] [--ledger=ledger.json] [--check]
-//               [--path=pull|packed] [--exchange-k=4]
+//               [--exchange-k=4]
 //               [--histogram=dense|sampled|hybrid] [--oversample=K]
 //               [--fault=crash] [--fault-rank=1] [--fault-op=20]
 //               [--fault-seed=7] [--straggle=0.5] [--drop=0.05]
@@ -22,9 +22,6 @@
 // sort config, per-phase and per-op-class time, and the fitted cost-model
 // constants — and prints the differential-profiler attribution table
 // showing where the cost model disagrees with the traced run.
-// --path selects the exchange data path (DESIGN.md sec. 11): "pull" is the
-// default single-copy alltoallv_into path, "packed" the legacy arena-staged
-// collective; results and simulated time are identical either way.
 // --exchange-k=K switches superstep 3 to the k-ary swap schedule with
 // merge/communication overlap (DESIGN.md sec. 13): ceil(log_K P) rounds of
 // K-1 partners each, merging previous arrivals while the current round's
@@ -82,7 +79,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string ledger_path;
   bool check = false;
-  core::DataPath path = core::DataPath::Pull;
   int exchange_k = 0;  // 0 = alltoallv (the default exchange)
   core::HistogramMode histogram = core::HistogramMode::Dense;
   usize oversample = 8;
@@ -104,17 +100,6 @@ int main(int argc, char** argv) {
     if (arg.rfind("--trace=", 0) == 0) trace_path = arg.substr(8);
     if (arg.rfind("--ledger=", 0) == 0) ledger_path = arg.substr(9);
     if (arg == "--check") check = true;
-    if (arg.rfind("--path=", 0) == 0) {
-      const std::string v = arg.substr(7);
-      if (v == "packed") {
-        path = core::DataPath::Packed;
-      } else if (v == "pull") {
-        path = core::DataPath::Pull;
-      } else {
-        std::cerr << "unknown --path value: " << v << " (pull|packed)\n";
-        return 2;
-      }
-    }
     if (arg.rfind("--exchange-k=", 0) == 0) {
       exchange_k = std::stoi(arg.substr(13));
       if (exchange_k < 2) {
@@ -259,7 +244,6 @@ int main(int argc, char** argv) {
 
     core::SortConfig cfg;
     cfg.epsilon = epsilon;
-    cfg.path = path;
     cfg.histogram = histogram;
     cfg.oversample = oversample;
     if (exchange_k > 0) {
@@ -312,7 +296,6 @@ int main(int argc, char** argv) {
     // 2. One call sorts the distributed sequence.
     core::SortConfig cfg;
     cfg.epsilon = epsilon;
-    cfg.path = path;
     cfg.histogram = histogram;
     cfg.oversample = oversample;
     if (exchange_k > 0) {
@@ -368,7 +351,6 @@ int main(int argc, char** argv) {
       led.total_elements =
           static_cast<u64>(ranks) * static_cast<u64>(keys_per_rank);
       led.config = {{"epsilon", std::to_string(epsilon)},
-                    {"path", path == core::DataPath::Pull ? "pull" : "packed"},
                     {"exchange_k", std::to_string(exchange_k)},
                     {"histogram", histogram_mode_name(histogram)},
                     {"oversample", std::to_string(oversample)}};

@@ -109,8 +109,9 @@ HyksortStats hyksort(runtime::Comm& comm, std::vector<T>& local,
         prev = cut;
       }
       core::note_exchange_metrics(group, send, sizeof(T));
-      received = group.alltoallv(
-          std::span<const T>(local.data(), local.size()), send, &recv_counts);
+      group.alltoallv_into(std::span<const T>(local.data(), local.size()),
+                           std::span<const usize>(send), received,
+                           recv_counts);
     }
     core::merge_chunks(group, received, std::span<const usize>(recv_counts),
                        cfg.merge, identity, cfg.kernel);

@@ -108,8 +108,8 @@ SampleSortStats sample_sort(runtime::Comm& comm, std::vector<T>& local,
     send[P - 1] = local.size() - prev;
     comm.charge_binary_search(local.size(), P - 1);
     core::note_exchange_metrics(comm, send, sizeof(T));
-    received = comm.alltoallv(std::span<const T>(local.data(), local.size()),
-                              send, &recv_counts);
+    comm.alltoallv_into(std::span<const T>(local.data(), local.size()),
+                        std::span<const usize>(send), received, recv_counts);
   }
 
   // Final merge of received runs.

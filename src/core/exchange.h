@@ -12,6 +12,7 @@
 #include <memory>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/bits.h"
@@ -21,23 +22,6 @@
 #include "runtime/comm.h"
 
 namespace hds::core {
-
-/// How payload bytes move through the runtime (DESIGN.md sec. 11). Pull is
-/// the single-copy default: receivers copy blocks straight from the
-/// senders' published spans (alltoallv_into) and P2P rounds lend the send
-/// buffer instead of staging it in Message::data. Packed is the legacy
-/// reference path (executor packs the epoch arena, receivers copy out).
-/// Both paths produce byte-identical results and bit-identical simulated
-/// time — the cost model charges volume, not copy count.
-enum class DataPath : u8 { Pull, Packed };
-
-constexpr std::string_view data_path_name(DataPath p) {
-  switch (p) {
-    case DataPath::Pull: return "pull";
-    case DataPath::Packed: return "packed";
-  }
-  return "?";
-}
 
 template <class T>
 struct ExchangeResult {
@@ -146,17 +130,15 @@ inline void note_exchange_metrics(runtime::Comm& comm,
         send[static_cast<usize>(comm.rank())]);
 }
 
-/// Full data exchange: computes send counts and runs the ALL-TO-ALLV.
-/// `sorted_local` must be the locally sorted input used by find_splitters.
-/// With DataPath::Pull the output is sized once from the published counts
-/// and every chunk lands at its final offset in one copy (alltoallv_into);
-/// DataPath::Packed is the legacy arena-staged collective. Results and
-/// simulated time are identical either way.
+/// Full data exchange: computes send counts and runs the ALL-TO-ALLV. The
+/// output is sized once from the published counts and every chunk lands at
+/// its final offset in one copy, straight out of the sender's buffer
+/// (alltoallv_into). `sorted_local` must be the locally sorted input used
+/// by find_splitters.
 template <class T, class UK>
 ExchangeResult<T> exchange(runtime::Comm& comm,
                            std::span<const T> sorted_local,
-                           const SplitterResult<UK>& sp,
-                           DataPath path = DataPath::Pull) {
+                           const SplitterResult<UK>& sp) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   ExchangeResult<T> out;
   const std::vector<usize> send =
@@ -165,135 +147,8 @@ ExchangeResult<T> exchange(runtime::Comm& comm,
   for (int d = 0; d < comm.size(); ++d)
     if (d != comm.rank()) out.elements_sent_off_rank += send[d];
   note_exchange_metrics(comm, send, sizeof(T));
-  if (path == DataPath::Pull)
-    comm.alltoallv_into(sorted_local, std::span<const usize>(send), out.data,
-                        out.recv_counts);
-  else
-    out.data = comm.alltoallv(sorted_local, send, &out.recv_counts);
-  return out;
-}
-
-/// Store-and-forward hypercube exchange (Sec. VI-E1: "For a relatively
-/// small N/P we utilize store-and-forward algorithms which communicate data
-/// in intermediate steps in ceil(log p) rounds"). Each round j swaps, with
-/// the partner across hypercube dimension j, every bucket whose destination
-/// differs in bit j; data is forwarded (and re-transmitted) up to log2(P)
-/// times, trading bandwidth for only log2(P) message latencies — the right
-/// trade when partitions are small. Requires a power-of-two rank count.
-///
-/// Sorted-run boundaries are carried alongside the payload so the final
-/// merge still sees sorted chunks.
-template <class T, class UK>
-ExchangeResult<T> exchange_hypercube(runtime::Comm& comm,
-                                     std::span<const T> sorted_local,
-                                     const SplitterResult<UK>& sp,
-                                     DataPath path = DataPath::Pull) {
-  net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
-  const int P = comm.size();
-  if (!is_pow2(static_cast<u64>(P)))
-    throw argument_error(
-        "exchange_hypercube: rank count must be a power of two");
-
-  ExchangeResult<T> out;
-  const std::vector<usize> send =
-      compute_send_counts(comm, sorted_local.size(), sp);
-  std::vector<usize> offsets(P + 1, 0);
-  for (int d = 0; d < P; ++d) offsets[d + 1] = offsets[d] + send[d];
-  out.elements_kept = send[comm.rank()];
-  for (int d = 0; d < P; ++d)
-    if (d != comm.rank()) out.elements_sent_off_rank += send[d];
-  note_exchange_metrics(comm, send, sizeof(T));
-
-  // Buckets in flight: per destination, a list of sorted runs.
-  std::vector<std::vector<T>> bucket(P);
-  std::vector<std::vector<u64>> runs(P);
-  for (int d = 0; d < P; ++d) {
-    if (send[d] == 0) continue;
-    bucket[d].assign(sorted_local.begin() + offsets[d],
-                     sorted_local.begin() + offsets[d + 1]);
-    runs[d].push_back(send[d]);
-  }
-
-  const int dims = static_cast<int>(log2_ceil(static_cast<u64>(P)));
-  const u64 tag_base = 0xcafe00ULL << 8;
-  std::vector<T> rpayload;  // pooled across rounds (pull path resizes it)
-  for (int j = 0; j < dims; ++j) {
-    const int partner = comm.rank() ^ (1 << j);
-    // Serialize every bucket whose destination's bit j differs from ours:
-    // header = [ndests, then per dest: dest, nruns, runlen...], payload =
-    // the concatenated elements in the same order.
-    std::vector<u64> header{0};
-    std::vector<T> payload;
-    for (int d = 0; d < P; ++d) {
-      if (((d >> j) & 1) == ((comm.rank() >> j) & 1)) continue;
-      if (bucket[d].empty()) continue;
-      ++header[0];
-      header.push_back(static_cast<u64>(d));
-      header.push_back(runs[d].size());
-      header.insert(header.end(), runs[d].begin(), runs[d].end());
-      payload.insert(payload.end(), bucket[d].begin(), bucket[d].end());
-      bucket[d].clear();
-      bucket[d].shrink_to_fit();
-      runs[d].clear();
-    }
-    comm.send(partner, tag_base + 2 * j, std::span<const u64>(header),
-              net::Traffic::Control);
-    runtime::BorrowToken loan;
-    if (path == DataPath::Pull) {
-      // Lend the payload: the partner copies it straight out of `payload`
-      // into its recv destination (one copy on the wire instead of three).
-      loan = comm.send_borrowed(partner, tag_base + 2 * j + 1,
-                                std::span<const T>(payload));
-    } else {
-      comm.send(partner, tag_base + 2 * j + 1, std::span<const T>(payload),
-                net::Traffic::Data);
-    }
-    const std::vector<u64> rheader = comm.recv<u64>(partner, tag_base + 2 * j);
-    if (path == DataPath::Pull) {
-      // The header carries every run length, so the payload size is known
-      // before the payload is received — receive it into pooled scratch.
-      usize incoming = 0;
-      {
-        usize hoff = 1;
-        for (u64 e = 0; e < rheader[0]; ++e) {
-          hoff++;  // dest
-          const u64 nruns = rheader[hoff++];
-          for (u64 k = 0; k < nruns; ++k) incoming += rheader[hoff++];
-        }
-      }
-      rpayload.resize(incoming);
-      const usize got = comm.recv_into(partner, tag_base + 2 * j + 1,
-                                       std::span<T>(rpayload));
-      HDS_CHECK(got == incoming);
-    } else {
-      rpayload = comm.recv<T>(partner, tag_base + 2 * j + 1);
-    }
-    usize hoff = 1, poff = 0;
-    for (u64 e = 0; e < rheader[0]; ++e) {
-      const int d = static_cast<int>(rheader[hoff++]);
-      const u64 nruns = rheader[hoff++];
-      for (u64 k = 0; k < nruns; ++k) {
-        const u64 len = rheader[hoff++];
-        runs[d].push_back(len);
-        bucket[d].insert(bucket[d].end(), rpayload.begin() + poff,
-                         rpayload.begin() + poff + len);
-        poff += len;
-      }
-    }
-    HDS_CHECK(poff == rpayload.size());
-    // Reclaim the loan only after our own receives: waiting before them
-    // would deadlock the pairwise round (the partner is symmetric).
-    loan.wait();
-  }
-
-  out.data = std::move(bucket[comm.rank()]);
-  out.recv_counts.assign(runs[comm.rank()].begin(),
-                         runs[comm.rank()].end());
-  if (out.recv_counts.empty() && !out.data.empty())
-    out.recv_counts.push_back(out.data.size());
-  usize total = 0;
-  for (usize c : out.recv_counts) total += c;
-  HDS_CHECK(total == out.data.size());
+  comm.alltoallv_into(sorted_local, std::span<const usize>(send), out.data,
+                      out.recv_counts);
   return out;
 }
 
@@ -309,8 +164,7 @@ ExchangeResult<T> exchange_hypercube(runtime::Comm& comm,
 template <class T, class UK>
 ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
                                         std::span<const T> sorted_local,
-                                        const SplitterResult<UK>& sp,
-                                        DataPath path = DataPath::Pull) {
+                                        const SplitterResult<UK>& sp) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   const int P = comm.size();
   const auto& machine = comm.machine();
@@ -335,20 +189,17 @@ ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
   constexpr u64 kFanDataTag = 0x71e6ULL << 32;
 
   // 1) Direct intra-node deliveries (every same-node pair, even if empty,
-  // so the receive count is deterministic). On the pull path the slices
-  // are lent straight out of sorted_local — no staging through
-  // Message::data — and the loans are reclaimed after our own receives in
-  // step 5 (sorted_local outlives the whole exchange).
+  // so the receive count is deterministic). The slices are lent straight
+  // out of sorted_local — no staging through Message::data — and the loans
+  // are reclaimed after our own receives in step 5 (sorted_local outlives
+  // the whole exchange).
   std::vector<runtime::BorrowToken> intra_loans;
   for (int d = 0; d < P; ++d) {
     if (d == comm.rank()) continue;
     if (machine.node_of(comm.world_rank_of(d)) != my_node) continue;
     const std::span<const T> slice(sorted_local.data() + offsets[d], send[d]);
-    if (path == DataPath::Pull)
-      intra_loans.push_back(
-          comm.send_borrowed(d, kIntraTag + comm.rank(), slice));
-    else
-      comm.send(d, kIntraTag + comm.rank(), slice);
+    intra_loans.push_back(
+        comm.send_borrowed(d, kIntraTag + comm.rank(), slice));
   }
 
   // 2) Funnel off-node slices to the node leader: payload in ascending
@@ -420,21 +271,14 @@ ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
     std::vector<usize> rheader_counts, rpayload_counts;
     std::vector<u64> rheader;
     std::vector<T> rpayload;
-    if (path == DataPath::Pull) {
-      // Leader-to-leader bundles pulled straight from the peers' publish
-      // spans into the local vectors (sized once, filled in place).
-      leaders.alltoallv_into(std::span<const u64>(header),
-                             std::span<const usize>(header_counts), rheader,
-                             rheader_counts, net::Traffic::Control);
-      leaders.alltoallv_into(std::span<const T>(payload),
-                             std::span<const usize>(payload_counts), rpayload,
-                             rpayload_counts);
-    } else {
-      rheader = leaders.alltoallv(std::span<const u64>(header), header_counts,
-                                  &rheader_counts, net::Traffic::Control);
-      rpayload = leaders.alltoallv(std::span<const T>(payload), payload_counts,
-                                   &rpayload_counts);
-    }
+    // Leader-to-leader bundles pulled straight from the peers' publish
+    // spans into the local vectors (sized once, filled in place).
+    leaders.alltoallv_into(std::span<const u64>(header),
+                           std::span<const usize>(header_counts), rheader,
+                           rheader_counts, net::Traffic::Control);
+    leaders.alltoallv_into(std::span<const T>(payload),
+                           std::span<const usize>(payload_counts), rpayload,
+                           rpayload_counts);
 
     // 4) Fan received runs out to their destination ranks on this node.
     usize hoff = 0, poff = 0;
@@ -487,23 +331,17 @@ ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
     HDS_CHECK(poff == rpayload.size());
   }
 
-  // 5) Receive: own slice + intra-node direct slices + leader bundles. On
-  // the pull path every incoming payload is appended straight into
-  // out.data (recv_append copies once, from the sender's lent buffer or
-  // the mailbox, to its final offset).
+  // 5) Receive: own slice + intra-node direct slices + leader bundles. Every
+  // incoming payload is appended straight into out.data (recv_append copies
+  // once, from the sender's lent buffer or the mailbox, to its final
+  // offset).
   out.data.assign(sorted_local.begin() + offsets[comm.rank()],
                   sorted_local.begin() + offsets[comm.rank() + 1]);
   out.recv_counts.assign(1, out.data.size());
   for (int s = 0; s < P; ++s) {
     if (s == comm.rank()) continue;
     if (machine.node_of(comm.world_rank_of(s)) != my_node) continue;
-    if (path == DataPath::Pull) {
-      out.recv_counts.push_back(comm.recv_append(s, kIntraTag + s, out.data));
-    } else {
-      const std::vector<T> slice = comm.recv<T>(s, kIntraTag + s);
-      out.recv_counts.push_back(slice.size());
-      out.data.insert(out.data.end(), slice.begin(), slice.end());
-    }
+    out.recv_counts.push_back(comm.recv_append(s, kIntraTag + s, out.data));
   }
   // Our own intra-node loans are all consumed once every same-node peer
   // has run the receive loop above; reclaim them before touching
@@ -524,27 +362,15 @@ ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
     }
     for (int nd : remote_nodes) {
       const std::vector<u64> lens = node.recv<u64>(0, kFanLenTag + nd);
-      if (path == DataPath::Pull) {
-        // The bundle is the concatenation of its runs, so appending it
-        // whole preserves the per-run chunk layout recv_counts describes.
-        usize expect = 0;
-        for (u64 len : lens) {
-          out.recv_counts.push_back(len);
-          expect += len;
-        }
-        const usize got = node.recv_append(0, kFanDataTag + nd, out.data);
-        HDS_CHECK(got == expect);
-      } else {
-        const std::vector<T> data = node.recv<T>(0, kFanDataTag + nd);
-        usize off = 0;
-        for (u64 len : lens) {
-          out.recv_counts.push_back(len);
-          out.data.insert(out.data.end(), data.begin() + off,
-                          data.begin() + off + len);
-          off += len;
-        }
-        HDS_CHECK(off == data.size());
+      // The bundle is the concatenation of its runs, so appending it whole
+      // preserves the per-run chunk layout recv_counts describes.
+      usize expect = 0;
+      for (u64 len : lens) {
+        out.recv_counts.push_back(len);
+        expect += len;
       }
+      const usize got = node.recv_append(0, kFanDataTag + nd, out.data);
+      HDS_CHECK(got == expect);
     }
   }
   // Drop leading zero-length chunk bookkeeping noise.
@@ -562,11 +388,10 @@ ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
 /// ceil(log_k P) rounds whenever P is k-smooth. When the remaining cofactor
 /// has no divisor in [2, k] (e.g. prime P > k) its smallest prime factor is
 /// used instead — one wider round rather than a failure, so the schedule
-/// exists for every P. k == 2 at a power of two reproduces the hypercube
-/// dimensions; k >= P collapses to a single direct-exchange round.
+/// exists for every P. k == 2 at a power of two is the hypercube's
+/// log2(P) dimensions; k >= P collapses to a single direct-exchange round.
 inline std::vector<int> kary_round_factors(int P, int k) {
-  HDS_CHECK(P >= 1);
-  if (k < 2) k = 2;
+  HDS_CHECK(P >= 1 && k >= 2);
   std::vector<int> factors;
   int rem = P;
   while (rem > 1) {
@@ -594,15 +419,20 @@ struct KAryRoundTrace {
   double merge_s = 0.0;  ///< overlapped tail merge of the previous round
 };
 
-/// Tunable k-ary swap schedule with merge/communication overlap (PR 7,
-/// generalizing exchange_hypercube's k = 2 and the direct exchange's
-/// k = P; cf. diy's SortPartners). View every rank id in the mixed radix
-/// given by kary_round_factors(P, k): in round r, ranks sharing all digits
-/// except digit r form a group of f_r members, and each rank swaps with its
-/// f_r - 1 group partners every bucket whose destination differs in digit
-/// r — buckets reach their destination digit by digit, store-and-forward,
-/// in ceil(log_k P) rounds for k-smooth P (any P is supported through the
-/// factorization fallback).
+/// Store-and-forward exchange on a tunable k-ary swap schedule, with
+/// merge/communication overlap (Sec. VI-E1: "For a relatively small N/P we
+/// utilize store-and-forward algorithms which communicate data in
+/// intermediate steps in ceil(log p) rounds"; cf. diy's SortPartners).
+/// View every rank id in the mixed radix given by kary_round_factors(P, k):
+/// in round r, ranks sharing all digits except digit r form a group of f_r
+/// members, and each rank swaps with its f_r - 1 group partners every
+/// bucket whose destination differs in digit r — buckets reach their
+/// destination digit by digit in ceil(log_k P) rounds for k-smooth P (any P
+/// is supported through the factorization fallback). Data is forwarded up
+/// to once per round, trading bandwidth for fewer message latencies — the
+/// right trade when partitions are small. k = 2 is the hypercube schedule
+/// (log2(P) rounds of one partner), k >= P a single direct-exchange round.
+/// Throws argument_error for k < 2.
 ///
 /// With `overlap_merge`, runs that arrive at their final destination in
 /// round r-1 are tail-merged in place into the accumulated output *while
@@ -611,15 +441,16 @@ struct KAryRoundTrace {
 /// simulated time models the overlap explicitly, and the k-way tournament
 /// tail merge (merge_tail_inplace_kway) never allocates a full-size
 /// staging buffer. The last batch of arrivals has no later round to hide
-/// in and is charged in full. Without `overlap_merge` the chunks are
-/// concatenated and recv_counts returned for superstep 4, exactly like
-/// exchange_hypercube.
+/// in and is charged in full. Without `overlap_merge` the runs are
+/// concatenated in arrival order and recv_counts returned for superstep 4.
 template <class T, class UK, class KeyFn>
 ExchangeResult<T> exchange_kary(
     runtime::Comm& comm, std::span<const T> sorted_local,
     const SplitterResult<UK>& sp, KeyFn key, int k, bool overlap_merge,
-    DataPath path = DataPath::Pull,
     std::vector<KAryRoundTrace>* round_trace = nullptr) {
+  if (k < 2)
+    throw argument_error("exchange_kary: k must be >= 2 (got " +
+                         std::to_string(k) + ")");
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   const int P = comm.size();
   const int me = comm.rank();
@@ -654,7 +485,6 @@ ExchangeResult<T> exchange_kary(
   std::vector<T> acc;
   std::vector<std::span<const T>> pending;  // final-destination arrivals
   std::vector<std::unique_ptr<T[]>> arrivals;  // keep-alive arrival buffers
-  std::vector<std::vector<T>> arrivals_packed;
   // The rank's own kept slice stays in sorted_local until the first drain
   // merges it (as the base run of kway_merge_into) — no upfront copy.
   const std::span<const T> kept = sorted_local.subspan(offsets[me], send[me]);
@@ -691,7 +521,7 @@ ExchangeResult<T> exchange_kary(
     // Serialize one package per group partner: every bucket whose
     // destination's round-r digit matches that partner's digit. Header =
     // [ndests, (dest, nruns, runlen...)...], payload the runs concatenated
-    // in header order (the hypercube wire format).
+    // in header order.
     std::vector<std::vector<u64>> header(f);
     std::vector<std::vector<std::span<const T>>> outruns(f);
     std::vector<std::vector<T>> payload(f);  // only built for >1 run
@@ -734,11 +564,7 @@ ExchangeResult<T> exchange_kary(
           pl.insert(pl.end(), run.begin(), run.end());
         pkg = std::span<const T>(pl);
       }
-      if (path == DataPath::Pull)
-        loans.push_back(
-            comm.send_borrowed(partner, tag_base + 2 * r + 1, pkg));
-      else
-        comm.send(partner, tag_base + 2 * r + 1, pkg, net::Traffic::Data);
+      loans.push_back(comm.send_borrowed(partner, tag_base + 2 * r + 1, pkg));
       window_s += comm.cost().p2p(comm.world_rank(),
                                   comm.world_rank_of(partner),
                                   pkg.size() * sizeof(T), net::Traffic::Data);
@@ -775,23 +601,16 @@ ExchangeResult<T> exchange_kary(
           for (u64 q = 0; q < nruns; ++q) incoming += rheader[hoff++];
         }
       }
-      std::span<const T> buf;
-      if (path == DataPath::Pull) {
-        // The header carries every run length, so the payload lands in an
-        // exactly-sized, deliberately uninitialized buffer in one copy
-        // from the partner's lent source (a zero-initializing vector here
-        // would cost a full extra pass over the arrival data).
-        auto raw = std::make_unique_for_overwrite<T[]>(incoming);
-        const usize got = comm.recv_into(partner, tag_base + 2 * r + 1,
-                                         std::span<T>(raw.get(), incoming));
-        HDS_CHECK(got == incoming);
-        buf = std::span<const T>(raw.get(), incoming);
-        arrivals.push_back(std::move(raw));
-      } else {
-        arrivals_packed.push_back(comm.recv<T>(partner, tag_base + 2 * r + 1));
-        HDS_CHECK(arrivals_packed.back().size() == incoming);
-        buf = std::span<const T>(arrivals_packed.back());
-      }
+      // The header carries every run length, so the payload lands in an
+      // exactly-sized, deliberately uninitialized buffer in one copy from
+      // the partner's lent source (a zero-initializing vector here would
+      // cost a full extra pass over the arrival data).
+      auto raw = std::make_unique_for_overwrite<T[]>(incoming);
+      const usize got = comm.recv_into(partner, tag_base + 2 * r + 1,
+                                       std::span<T>(raw.get(), incoming));
+      HDS_CHECK(got == incoming);
+      const std::span<const T> buf(raw.get(), incoming);
+      arrivals.push_back(std::move(raw));
       usize hoff = 1, poff = 0;
       for (u64 e = 0; e < rheader[0]; ++e) {
         const int d = static_cast<int>(rheader[hoff++]);
@@ -866,8 +685,7 @@ template <class T, class UK, class KeyFn>
 ExchangeResult<T> exchange_one_factor(runtime::Comm& comm,
                                       std::span<const T> sorted_local,
                                       const SplitterResult<UK>& sp,
-                                      KeyFn key, bool overlap_merge,
-                                      DataPath path = DataPath::Pull) {
+                                      KeyFn key, bool overlap_merge) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   const int P = comm.size();
   ExchangeResult<T> out;
@@ -885,50 +703,26 @@ ExchangeResult<T> exchange_one_factor(runtime::Comm& comm,
 
   const int rounds = (P % 2 == 0) ? P - 1 : P;
   const u64 tag_base = 0x1fac70f2ULL << 8;
-  std::vector<T> chunk;  // pull-path arrival scratch, pooled across rounds
+  std::vector<T> chunk;  // overlap-merge arrival scratch, pooled per round
   for (int r = 0; r < rounds; ++r) {
     const int partner = one_factor_partner(P, r, comm.rank());
     if (partner == comm.rank()) continue;  // odd P: idle round
     out.elements_sent_off_rank += send[partner];
     const std::span<const T> slice(sorted_local.data() + offsets[partner],
                                    send[partner]);
-    runtime::BorrowToken loan;
-    if (path == DataPath::Pull) {
-      // The outgoing slice is lent straight out of sorted_local; the loan
-      // is reclaimed after our own receive (symmetric partner — waiting
-      // before it would deadlock the round).
-      loan = comm.send_borrowed(partner, tag_base + r, slice);
-    } else {
-      comm.send(partner, tag_base + r, slice);
-    }
-    if (path == DataPath::Pull) {
-      if (overlap_merge) {
-        // Merge-on-arrival without the staging copy: receive into pooled
-        // scratch, then backward-merge into acc's tail in place. (The
-        // chunk cannot live in acc's own tail — a backward merge whose
-        // second range aliases the destination overwrites unread input.)
-        chunk.clear();
-        comm.recv_append(partner, tag_base + r, chunk);
-        loan.wait();
-        net::PhaseScope merge_phase(comm.clock(), net::Phase::Merge);
-        const usize n1 = acc.size();
-        acc.resize(n1 + chunk.size());
-        merge_tail_inplace(std::span<T>(acc), n1,
-                           std::span<const T>(chunk), less);
-        comm.charge_merge_pass(acc.size());
-        counts[0] = acc.size();
-      } else {
-        // Chunks land at their final offsets in acc, copied exactly once
-        // from the partner's lent buffer.
-        counts.push_back(comm.recv_append(partner, tag_base + r, acc));
-        loan.wait();
-      }
-    } else if (overlap_merge) {
-      // Merge-on-arrival, same in-place shape as the pull path: receive
-      // into the pooled scratch and backward-merge into acc's tail — no
-      // full-size `merged` staging vector per round.
+    // The outgoing slice is lent straight out of sorted_local; the loan is
+    // reclaimed after our own receive (symmetric partner — waiting before
+    // it would deadlock the round).
+    runtime::BorrowToken loan =
+        comm.send_borrowed(partner, tag_base + r, slice);
+    if (overlap_merge) {
+      // Merge-on-arrival without a staging copy: receive into pooled
+      // scratch, then backward-merge into acc's tail in place. (The chunk
+      // cannot live in acc's own tail — a backward merge whose second range
+      // aliases the destination overwrites unread input.)
       chunk.clear();
       comm.recv_append(partner, tag_base + r, chunk);
+      loan.wait();
       net::PhaseScope merge_phase(comm.clock(), net::Phase::Merge);
       const usize n1 = acc.size();
       acc.resize(n1 + chunk.size());
@@ -937,7 +731,10 @@ ExchangeResult<T> exchange_one_factor(runtime::Comm& comm,
       comm.charge_merge_pass(acc.size());
       counts[0] = acc.size();
     } else {
+      // Chunks land at their final offsets in acc, copied exactly once from
+      // the partner's lent buffer.
       counts.push_back(comm.recv_append(partner, tag_base + r, acc));
+      loan.wait();
     }
   }
   out.data = std::move(acc);

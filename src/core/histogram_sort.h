@@ -41,15 +41,14 @@ namespace hds::core {
 enum class ExchangeAlgorithm : u8 {
   Alltoallv,  ///< single collective ALL-TO-ALLV (the paper's evaluated path)
   OneFactor,  ///< pairwise 1-factor rounds (Sec. VI-E1 future work)
-  Hypercube,  ///< store-and-forward, log2(P) rounds — for small N/P
-              ///< (Sec. VI-E1); requires a power-of-two rank count
   Hierarchical,  ///< node-leader funneling (Sec. VI-E1): only one core per
                  ///< node touches the NIC; world communicator only
   KAry,  ///< tunable k-ary swap schedule (DESIGN.md sec. 13): store-and-
-         ///< forward in ceil(log_k P) rounds of k-1 group partners each,
-         ///< spanning hypercube (k = 2) to direct exchange (k >= P); any
-         ///< rank count; with overlap_merge, round r-1's arrivals are
-         ///< tail-merged while round r's payload copies are in flight
+         ///< forward in ceil(log_k P) rounds of k-1 group partners each —
+         ///< for small N/P (Sec. VI-E1) — spanning the hypercube (k = 2) to
+         ///< direct exchange (k >= P); any rank count; with overlap_merge,
+         ///< round r-1's arrivals are tail-merged while round r's payload
+         ///< copies are in flight
 };
 
 struct SortConfig {
@@ -71,15 +70,12 @@ struct SortConfig {
   /// systematically sampled keys per search segment per round.
   usize oversample = 8;
   ExchangeAlgorithm exchange = ExchangeAlgorithm::Alltoallv;
-  /// How superstep 3 moves payload bytes through the runtime (see
-  /// core/exchange.h): Pull is the single-copy path, Packed the legacy
-  /// arena-staged reference. Identical results and simulated time.
-  DataPath path = DataPath::Pull;
   /// With ExchangeAlgorithm::KAry: per-round group size ("radix") of the
-  /// swap schedule. 2 reproduces the hypercube's log2(P) rounds of one
-  /// partner; >= P collapses to a single direct-exchange round; values in
-  /// between trade rounds (latency, forwarding traffic) against partners
-  /// per round and merge fan-in. See kary_round_factors for non-k-smooth P.
+  /// swap schedule, >= 2 (smaller values throw argument_error). 2 is the
+  /// hypercube's log2(P) rounds of one partner; >= P collapses to a single
+  /// direct-exchange round; values in between trade rounds (latency,
+  /// forwarding traffic) against partners per round and merge fan-in. See
+  /// kary_round_factors for non-k-smooth P.
   int exchange_k = 4;
   /// With ExchangeAlgorithm::OneFactor or KAry: merge received chunks on
   /// arrival instead of in superstep 4, overlapping the merge with the
@@ -168,20 +164,17 @@ void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
   switch (cfg.exchange) {
     case ExchangeAlgorithm::OneFactor:
       ex = exchange_one_factor(comm, sorted_view, st.splitters, key,
-                               cfg.overlap_merge, cfg.path);
-      break;
-    case ExchangeAlgorithm::Hypercube:
-      ex = exchange_hypercube(comm, sorted_view, st.splitters, cfg.path);
+                               cfg.overlap_merge);
       break;
     case ExchangeAlgorithm::Hierarchical:
-      ex = exchange_hierarchical(comm, sorted_view, st.splitters, cfg.path);
+      ex = exchange_hierarchical(comm, sorted_view, st.splitters);
       break;
     case ExchangeAlgorithm::KAry:
       ex = exchange_kary(comm, sorted_view, st.splitters, key,
-                         cfg.exchange_k, cfg.overlap_merge, cfg.path);
+                         cfg.exchange_k, cfg.overlap_merge);
       break;
     case ExchangeAlgorithm::Alltoallv:
-      ex = exchange(comm, sorted_view, st.splitters, cfg.path);
+      ex = exchange(comm, sorted_view, st.splitters);
       break;
   }
   st.stats.elements_sent_off_rank = ex.elements_sent_off_rank;
@@ -658,9 +651,9 @@ SortStats sort_resilient(runtime::Team& team,
           throw;  // budget exhausted: let the run fail
         c = c.recover_survivors();  // throws team_aborted if unrecoverable
         st = detail::shrink_restore<T, UK>(c, store, key);
-        // Post-shrink supersteps run on a subteam of arbitrary size:
-        // hypercube (power-of-two only) and hierarchical (world-only)
-        // exchanges are invalid there, and the restored runs are already
+        // Post-shrink supersteps run on a subteam: the hierarchical
+        // exchange is invalid there (world-only), so the survivors fall
+        // back to the direct exchange, and the restored runs are already
         // sorted or about to be re-sorted.
         ccfg.exchange = ExchangeAlgorithm::Alltoallv;
         ccfg.input_is_sorted = false;

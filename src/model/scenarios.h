@@ -8,7 +8,8 @@
 // seeded generators, so the explorer's determinism oracle is meaningful.
 //
 //   sort2 / sort3        full histogram sort, alltoallv exchange, P = 2 / 3
-//   sort2-hypercube      full histogram sort, hypercube exchange, P = 2
+//   sort2-hypercube      full histogram sort, k-ary exchange at k = 2 (the
+//                        hypercube store-and-forward schedule), P = 2
 //   mailbox              P = 4 ack-window protocol: three senders each push
 //                        two same-channel messages with a blocking ack
 //                        between them, so channel-queue contention (and the
@@ -156,8 +157,9 @@ inline Scenario recovery_scenario() {
 /// schedule space, not the data volume, is what the explorer probes.
 inline std::vector<Scenario> all_scenarios() {
   core::SortConfig plain;
-  core::SortConfig hypercube;
-  hypercube.exchange = core::ExchangeAlgorithm::Hypercube;
+  core::SortConfig hypercube;  // k = 2 is the hypercube schedule
+  hypercube.exchange = core::ExchangeAlgorithm::KAry;
+  hypercube.exchange_k = 2;
   return {
       sort_scenario("sort2", 2, plain, 48),
       sort_scenario("sort3", 3, plain, 48),

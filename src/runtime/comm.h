@@ -15,6 +15,10 @@
 // parity alternates; a slot of parity e cannot be republished before every
 // rank finished reading epoch e's result (publication at round k+2 is gated
 // by barrier #2 of round k+1).
+// The irregular all-to-all (alltoallv_into) is the one exception to step 2:
+// the root only prices it, and between the barriers every member copies its
+// incoming blocks straight out of the senders' published spans
+// (collective_pull), so the payload is touched once and never staged.
 #pragma once
 
 #include <cmath>
@@ -456,114 +460,13 @@ class Comm {
     finish(ep);
   }
 
-  /// Irregular personalized exchange. `send_counts[d]` elements of `data`
-  /// (contiguous, in destination order) go to member d. Returns the
-  /// received elements ordered by source rank; `recv_counts` (optional)
-  /// receives the per-source counts.
-  template <class T>
-  std::vector<T> alltoallv(std::span<const T> data,
-                           std::span<const usize> send_counts,
-                           std::vector<usize>* recv_counts = nullptr,
-                           net::Traffic traffic = net::Traffic::Data) {
-    check_trivial<T>();
-    HDS_CHECK(send_counts.size() == static_cast<usize>(size()));
-    usize total_send = 0;
-    for (usize c : send_counts) total_send += c;
-    HDS_CHECK_MSG(total_send == data.size(),
-                  "alltoallv: send counts (" << total_send
-                      << ") != data size (" << data.size() << ")");
-
-    auto& ep = collective(
-        detail::OpId::Alltoallv, obs::OpClass::Alltoall, data.data(),
-        data.size() * sizeof(T), send_counts.data(),
-        [&](detail::EpochArena& a) {
-          const int P = size();
-          // Receive layout: out[dst] = concat over src of block(src -> dst).
-          // scratch_a doubles as recv_bytes here and as the pack cursor
-          // below (pooled across epochs; see EpochArena).
-          auto& cursor = a.scratch_a;
-          cursor.assign(static_cast<usize>(P), 0);
-          for (int src = 0; src < P; ++src)
-            for (int dst = 0; dst < P; ++dst)
-              cursor[dst] += a.slots[src].counts[dst] * sizeof(T);
-          usize total = 0;
-          for (int dst = 0; dst < P; ++dst) {
-            a.out_off[dst] = total;
-            a.out_len[dst] = cursor[dst];
-            total += cursor[dst];
-          }
-          // Arena layout: [data][P x P count matrix, row = destination].
-          // Counts live in the arena because the publishing rank's own
-          // count array may go out of scope as soon as it leaves the
-          // collective — but the matrix is only materialized when some
-          // member actually asked for recv_counts (kSlotWantsCounts).
-          bool wants_counts = false;
-          for (const auto& s : a.slots)
-            if (s.flags & detail::kSlotWantsCounts) wants_counts = true;
-          a.result.resize(total +
-                          (wants_counts ? usize(P) * P * sizeof(usize) : 0));
-          if (wants_counts) {
-            auto& by_dst = a.scratch_b;
-            by_dst.resize(usize(P) * P);
-            for (int dst = 0; dst < P; ++dst)
-              for (int src = 0; src < P; ++src)
-                by_dst[usize(dst) * P + src] = a.slots[src].counts[dst];
-            std::memcpy(a.result.data() + total, by_dst.data(),
-                        by_dst.size() * sizeof(usize));
-          }
-          for (int dst = 0; dst < P; ++dst) cursor[dst] = a.out_off[dst];
-          for (int src = 0; src < P; ++src) {
-            const auto* base = static_cast<const std::byte*>(a.slots[src].in);
-            usize src_off = 0;
-            for (int dst = 0; dst < P; ++dst) {
-              const usize b = a.slots[src].counts[dst] * sizeof(T);
-              if (b > 0) {
-                std::memcpy(a.result.data() + cursor[dst], base + src_off, b);
-                cursor[dst] += b;
-                src_off += b;
-              }
-            }
-          }
-          // Cost from the full byte matrix.
-          auto& matrix = a.scratch_b;
-          matrix.resize(usize(P) * P);
-          for (int src = 0; src < P; ++src)
-            for (int dst = 0; dst < P; ++dst)
-              matrix[usize(src) * P + dst] =
-                  a.slots[src].counts[dst] * sizeof(T);
-          return cost().alltoallv(state_->members, matrix, traffic);
-        },
-        /*peer=*/-1, traffic, /*hb_root=*/-1,
-        recv_counts != nullptr ? detail::kSlotWantsCounts : 0);
-    if (tracer().enabled())
-      for (int d = 0; d < size(); ++d)
-        if (send_counts[static_cast<usize>(d)] > 0)
-          tracer().op_detail(world_rank_of(d),
-                             send_counts[static_cast<usize>(d)] * sizeof(T));
-    std::vector<T> out(ep.out_len[idx_] / sizeof(T));
-    if (!out.empty())
-      std::memcpy(out.data(), ep.result.data() + ep.out_off[idx_],
-                  ep.out_len[idx_]);
-    if (recv_counts) {
-      const usize P = static_cast<usize>(size());
-      recv_counts->resize(P);
-      const usize counts_off = ep.result.size() - P * P * sizeof(usize);
-      std::memcpy(recv_counts->data(),
-                  ep.result.data() + counts_off +
-                      static_cast<usize>(idx_) * P * sizeof(usize),
-                  P * sizeof(usize));
-    }
-    finish(ep);
-    return out;
-  }
-
-  /// Pull-path irregular exchange into a caller-provided destination: the
-  /// received elements (ordered by source rank) are copied exactly once,
-  /// from each sender's published span straight into `dst`. `recv_counts`
-  /// receives the per-source element counts; `dst` must already hold
-  /// exactly the incoming total (size it from a prior counts exchange).
-  /// `dst` must not alias `data`. Modelled cost and simulated time are
-  /// bit-identical with the packed alltoallv for the same inputs.
+  /// Irregular personalized exchange into a caller-provided destination.
+  /// `send_counts[d]` elements of `data` (contiguous, in destination order)
+  /// go to member d. The received elements (ordered by source rank) are
+  /// copied exactly once, from each sender's published span straight into
+  /// `dst`. `recv_counts` receives the per-source element counts; `dst`
+  /// must already hold exactly the incoming total (size it from a prior
+  /// counts exchange). `dst` must not alias `data`.
   template <class T>
   void alltoallv_into(std::span<const T> data,
                       std::span<const usize> send_counts, std::span<T> dst,
@@ -580,9 +483,9 @@ class Comm {
         recv_counts, traffic);
   }
 
-  /// Pull-path overload that sizes `dst` itself: resized exactly once to
-  /// the incoming total (from the published counts), then filled in place.
-  /// `dst` must not alias `data`.
+  /// Overload that sizes `dst` itself: resized exactly once to the incoming
+  /// total (from the published counts), then filled in place. `dst` must
+  /// not alias `data`.
   template <class T>
   void alltoallv_into(std::span<const T> data,
                       std::span<const usize> send_counts, std::vector<T>& dst,
@@ -962,15 +865,13 @@ class Comm {
   /// `hb_root` is the member index whose contribution rooted collectives
   /// (Broadcast/Gatherv) pivot on; the race checker derives the op's
   /// logical happens-before shape from it (-1 for symmetric ops).
-  /// `pub_flags` is published in this member's slot for op-specific
-  /// executor decisions (kSlotWantsCounts).
   template <class RootFn>
   detail::EpochArena& collective(detail::OpId op, obs::OpClass cls,
                                  const void* in, usize bytes,
                                  const usize* counts, RootFn&& root_fn,
                                  i32 peer = -1,
                                  net::Traffic traffic = net::Traffic::Control,
-                                 int hb_root = -1, u32 pub_flags = 0) {
+                                 int hb_root = -1) {
     note_op(op, cls, bytes, peer, /*tag=*/0, traffic);
     auto& ep = state_->epochs[round_++ & 1u];
     auto& slot = ep.slots[idx_];
@@ -979,7 +880,6 @@ class Comm {
     slot.counts = counts;
     slot.clock = clock().now();
     slot.op_id = static_cast<u32>(op);
-    slot.flags = pub_flags;
     {
       detail::SiteScope site(progress(), detail::WaitSite::Barrier);
       state_->barrier.wait();
@@ -1027,7 +927,6 @@ class Comm {
     slot.counts = counts;
     slot.clock = clock().now();
     slot.op_id = static_cast<u32>(op);
-    slot.flags = 0;
     {
       detail::SiteScope site(progress(), detail::WaitSite::Barrier);
       state_->barrier.wait();
@@ -1063,11 +962,11 @@ class Comm {
     return ep;
   }
 
-  /// Pull-mode alltoallv body shared by the alltoallv_into overloads.
+  /// The irregular all-to-all body shared by the alltoallv_into overloads.
   /// `dst_fn(total, recv_counts)` must return a T* with room for `total`
-  /// elements; it runs on this rank between the barriers. The cost matrix
-  /// is byte-for-byte the one the packed path charges, so simulated time
-  /// is bit-identical between the two paths.
+  /// elements; it runs on this rank between the barriers. The executor only
+  /// prices the full P x P byte matrix; every member pulls its own blocks,
+  /// so no rank stages the whole exchange.
   template <class T, class DstFn>
   void alltoallv_pull(std::span<const T> data,
                       std::span<const usize> send_counts, DstFn&& dst_fn,
@@ -1086,7 +985,7 @@ class Comm {
         [&](detail::EpochArena& a) {
           // Executor: cost only — the payload moves via member pulls.
           const int P = size();
-          auto& matrix = a.scratch_b;
+          auto& matrix = a.scratch;
           matrix.resize(usize(P) * P);
           for (int src = 0; src < P; ++src)
             for (int dst = 0; dst < P; ++dst)

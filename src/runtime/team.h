@@ -114,13 +114,8 @@ struct PubSlot {
   usize bytes = 0;
   const usize* counts = nullptr;  ///< optional per-destination element counts
   double clock = 0.0;
-  u32 op_id = 0;   ///< collective type, checked in debug builds
-  u32 flags = 0;   ///< op-specific bits (kSlotWantsCounts)
+  u32 op_id = 0;  ///< collective type, checked in debug builds
 };
-
-/// PubSlot flag: this member passed a recv_counts out-parameter, so the
-/// packed alltoallv must persist the counts matrix in the arena.
-inline constexpr u32 kSlotWantsCounts = 1u;
 
 /// Pooled, grow-only byte buffer for collective results. Unlike
 /// std::vector, resize() never zero-initializes — the executor overwrites
@@ -155,16 +150,15 @@ class ArenaBuffer {
 /// Double-buffered collective arena (one per parity) — two barriers per
 /// collective suffice because slots of parity e are not republished before
 /// every rank has finished reading epoch e's result (see Comm::collective).
-/// `scratch_a/b` are executor-only scratch vectors (cost matrices, count
-/// staging) pooled across epochs so per-collective allocation churn stays
-/// off the data path.
+/// `scratch` is an executor-only vector (the alltoallv cost matrix) pooled
+/// across epochs so per-collective allocation churn stays off the data
+/// path.
 struct EpochArena {
   std::vector<PubSlot> slots;
   ArenaBuffer result;
   std::vector<usize> out_off;
   std::vector<usize> out_len;
-  std::vector<usize> scratch_a;
-  std::vector<usize> scratch_b;
+  std::vector<usize> scratch;
   double sync_time = 0.0;
   /// Model cost the executor computed for this collective (sync_time =
   /// latest entry + model_cost). Read by every member in Comm::finish under

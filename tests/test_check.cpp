@@ -251,12 +251,13 @@ TEST(CheckedRunTest, ExchangeKernelGridIsViolationFree) {
   auto shards = make_shards(P, 300);
   for (auto ex : {core::ExchangeAlgorithm::Alltoallv,
                   core::ExchangeAlgorithm::OneFactor,
-                  core::ExchangeAlgorithm::Hypercube,
+                  core::ExchangeAlgorithm::KAry,
                   core::ExchangeAlgorithm::Hierarchical}) {
     for (auto kern :
          {core::LocalSortKernel::Comparison, core::LocalSortKernel::Radix}) {
       core::SortConfig scfg;
       scfg.exchange = ex;
+      scfg.exchange_k = 2;  // KAry only: the hypercube schedule
       scfg.kernel = kern;
       const CheckReport rep = run_checked(P, [&](Comm& c) {
         auto local = shards[c.rank()];
@@ -472,6 +473,12 @@ TEST(MutationTest, EveryBaselineElisionIsFlagged) {
        [](Comm& c, std::vector<u64>& v) { baselines::hss_sort(c, v); }},
       {"histogram/alltoallv", obs::OpKind::Alltoallv,
        [](Comm& c, std::vector<u64>& v) { core::sort(c, v); }},
+      // The baselines' data exchanges run the pull-mode alltoallv body:
+      // its span reads must be ordered by the collective's joins too.
+      {"sample_sort/alltoallv", obs::OpKind::Alltoallv,
+       [](Comm& c, std::vector<u64>& v) { baselines::sample_sort(c, v); }},
+      {"hyksort/alltoallv", obs::OpKind::Alltoallv,
+       [](Comm& c, std::vector<u64>& v) { baselines::hyksort(c, v); }},
   };
   for (const Case& cs : cases) {
     CheckConfig cc{.enabled = true};

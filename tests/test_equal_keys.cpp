@@ -63,9 +63,8 @@ struct ExchangeCase {
 
 const ExchangeCase kExchanges[] = {
     {"alltoallv", ExchangeAlgorithm::Alltoallv, 0},
-    {"hypercube", ExchangeAlgorithm::Hypercube, 0},
     {"onefactor", ExchangeAlgorithm::OneFactor, 0},
-    {"kary-k2", ExchangeAlgorithm::KAry, 2},
+    {"kary-k2", ExchangeAlgorithm::KAry, 2},  // the hypercube schedule
     {"kary-k4", ExchangeAlgorithm::KAry, 4},
     {"kary-k16", ExchangeAlgorithm::KAry, 16},
 };
@@ -147,7 +146,7 @@ TEST(EqualKeys, HistogramModesProduceByteIdenticalOutput) {
   }
 }
 
-TEST(EqualKeys, AllEqualWithOverlapMergeAndPackedPath) {
+TEST(EqualKeys, AllEqualWithOverlapMerge) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::AllEqual;
   SortConfig cfg;
@@ -155,9 +154,7 @@ TEST(EqualKeys, AllEqualWithOverlapMergeAndPackedPath) {
   cfg.exchange_k = 4;
   cfg.overlap_merge = true;
   check_equal_key_sort(cfg, gen);
-  cfg.path = DataPath::Packed;
-  cfg.overlap_merge = false;
-  cfg.exchange = ExchangeAlgorithm::Alltoallv;
+  cfg.exchange = ExchangeAlgorithm::OneFactor;
   check_equal_key_sort(cfg, gen);
 }
 

@@ -1,6 +1,8 @@
-// Tests for the 1-factor pairwise exchange (Sec. VI-E1 future work): the
-// matching structure of the schedule, correctness of the sort through both
-// exchange paths, overlap-merge equivalence, and edge cases.
+// Tests for the alternative exchange algorithms (Sec. VI-E1): the 1-factor
+// pairwise exchange (matching structure of the schedule, overlap-merge
+// equivalence), the hypercube store-and-forward schedule (the k-ary
+// exchange at k = 2, also at non-power-of-two P) and the hierarchical
+// node-leader exchange — sort correctness and edge cases for each.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,48 +139,56 @@ TEST(OneFactorExchange, TwoRanks) {
   check_sort(2, cfg, {}, 1000);
 }
 
-TEST(HypercubeExchange, SortsPowerOfTwo) {
+/// The hypercube store-and-forward schedule (Sec. VI-E1): the k-ary
+/// exchange at k = 2, log2(P) rounds of one partner each at a power of two.
+SortConfig hypercube_cfg() {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hypercube;
+  cfg.exchange = ExchangeAlgorithm::KAry;
+  cfg.exchange_k = 2;
+  return cfg;
+}
+
+TEST(HypercubeExchange, SortsPowerOfTwo) {
+  const SortConfig cfg = hypercube_cfg();
   check_sort(8, cfg, {}, 700);
   check_sort(16, cfg, {}, 300);
   check_sort(2, cfg, {}, 500);
+  check_sort(4, cfg, {}, 400);
 }
 
-TEST(HypercubeExchange, RejectsNonPowerOfTwo) {
-  Team team({.nranks = 6});
-  EXPECT_THROW(team.run([&](Comm& c) {
-                 std::vector<u64> v{3, 1, 2};
-                 SortConfig cfg;
-                 cfg.exchange = ExchangeAlgorithm::Hypercube;
-                 sort(c, v, cfg);
-               }),
-               argument_error);
+TEST(HypercubeExchange, SortsNonPowerOfTwo) {
+  // The factorized schedule runs wherever the dimension-swap hypercube
+  // cannot: 3 is one 3-wide round, 6 = 2 x 3, 12 = 2 x 2 x 3.
+  const SortConfig cfg = hypercube_cfg();
+  check_sort(3, cfg, {}, 500);
+  check_sort(6, cfg, {}, 400);
+  check_sort(12, cfg, {}, 250);
 }
 
 TEST(HypercubeExchange, DuplicatesAndSkew) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Staircase;
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hypercube;
+  const SortConfig cfg = hypercube_cfg();
   check_sort(8, cfg, gen, 600);
+  check_sort(6, cfg, gen, 500);
   gen.dist = workload::Dist::AllEqual;
   check_sort(4, cfg, gen, 400);
+  check_sort(12, cfg, gen, 200);
 }
 
 TEST(HypercubeExchange, SparseInput) {
   workload::GenConfig gen;
   gen.sparsity = 0.5;
   gen.seed = 77;
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hypercube;
+  const SortConfig cfg = hypercube_cfg();
   check_sort(8, cfg, gen, 250);
+  check_sort(6, cfg, gen, 250);
 }
 
 TEST(HypercubeExchange, CheaperLatencyForTinyPartitions) {
   // The Sec. VI-E1 trade: for very small N/P the log2(P)-round
   // store-and-forward beats the (P-1)-message direct exchange.
-  auto time_with = [&](ExchangeAlgorithm algo) {
+  auto time_with = [&](const SortConfig& cfg) {
     runtime::TeamConfig tcfg;
     tcfg.nranks = 32;
     tcfg.machine = net::MachineModel::supermuc_phase2(8, 4);
@@ -189,14 +199,13 @@ TEST(HypercubeExchange, CheaperLatencyForTinyPartitions) {
       shards[r] = workload::generate_u64(gen, r, 32, 64);  // tiny N/P
     team.run([&](Comm& c) {
       auto local = shards[c.rank()];
-      SortConfig cfg;
-      cfg.exchange = algo;
       sort(c, local, cfg);
     });
     return team.stats().phase_seconds(net::Phase::Exchange);
   };
-  EXPECT_LT(time_with(ExchangeAlgorithm::Hypercube),
-            time_with(ExchangeAlgorithm::OneFactor));
+  SortConfig one_factor;
+  one_factor.exchange = ExchangeAlgorithm::OneFactor;
+  EXPECT_LT(time_with(hypercube_cfg()), time_with(one_factor));
 }
 
 TEST(HierarchicalExchange, SortsOnMultiNodeMachine) {

@@ -1,9 +1,11 @@
 // Single-copy data path (DESIGN.md sec. 11): the pull-based alltoallv_into
-// and borrowed-payload P2P must produce byte-identical results and
-// bit-identical simulated time versus the packed reference path — across
-// exchange algorithms, local-sort kernels, rank counts, and degenerate
-// layouts — and the channel-indexed mailbox must preserve FIFO-per-channel
-// semantics the runtime's P2P ordering rests on.
+// must deliver exactly the source-ordered slices every sender addressed to
+// each receiver, with per-rank simulated time independent of which overload
+// sized the destination; every exchange algorithm, local-sort kernel and
+// merge strategy must produce output byte-identical to the alltoallv
+// exchange, with bit-identical simulated time from run to run; and the
+// borrowed-payload P2P and the channel-indexed mailbox must preserve the
+// FIFO-per-channel semantics the runtime's P2P ordering rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,11 +31,14 @@ using runtime::Message;
 using runtime::Team;
 
 // ---------------------------------------------------------------------------
-// Comm-level: alltoallv_into vs packed alltoallv
+// Comm-level: alltoallv_into vs the host-side packed layout
 
 /// Per-destination send counts as a pure function of (P, rank), so the test
-/// can derive every rank's incoming total without communication.
+/// can derive every rank's expected receive layout without communication.
 using CountsFn = std::function<std::vector<usize>(int P, int rank)>;
+
+/// Element i of rank r's send buffer.
+u64 element(int rank, usize i) { return (static_cast<u64>(rank) << 32) | i; }
 
 struct PathResult {
   std::vector<std::vector<u64>> data;    // per rank, received elements
@@ -41,7 +46,28 @@ struct PathResult {
   std::vector<double> times;             // per rank, final simulated clock
 };
 
-enum class IntoMode { Packed, PullVector, PullSpan };
+/// The packed receive layout, built sequentially on the host: rank r gets
+/// the concatenation over sources s (ascending) of the slice s addressed
+/// to r, and recv_counts[s] is that slice's length.
+PathResult packed_reference(int P, const CountsFn& counts_fn) {
+  PathResult res;
+  res.data.resize(P);
+  res.counts.assign(P, std::vector<usize>(static_cast<usize>(P), 0));
+  for (int src = 0; src < P; ++src) {
+    const std::vector<usize> send = counts_fn(P, src);
+    usize off = 0;
+    for (int dst = 0; dst < P; ++dst) {
+      const usize c = send[static_cast<usize>(dst)];
+      for (usize i = 0; i < c; ++i)
+        res.data[dst].push_back(element(src, off + i));
+      res.counts[dst][static_cast<usize>(src)] = c;
+      off += c;
+    }
+  }
+  return res;
+}
+
+enum class IntoMode { Vector, Span };
 
 PathResult run_alltoallv(int P, const CountsFn& counts_fn, IntoMode mode) {
   Team team({.nranks = P});
@@ -54,32 +80,22 @@ PathResult run_alltoallv(int P, const CountsFn& counts_fn, IntoMode mode) {
     usize total = 0;
     for (usize s : send) total += s;
     std::vector<u64> data(total);
-    for (usize i = 0; i < total; ++i)
-      data[i] = (static_cast<u64>(c.rank()) << 32) | i;
+    for (usize i = 0; i < total; ++i) data[i] = element(c.rank(), i);
 
     std::vector<u64> out;
     std::vector<usize> rc;
-    switch (mode) {
-      case IntoMode::Packed:
-        out = c.alltoallv(std::span<const u64>(data),
-                          std::span<const usize>(send), &rc);
-        break;
-      case IntoMode::PullVector:
-        c.alltoallv_into(std::span<const u64>(data),
-                         std::span<const usize>(send), out, rc);
-        break;
-      case IntoMode::PullSpan: {
-        // The span overload needs a pre-sized destination; incoming totals
-        // are derivable locally because counts_fn is a pure function.
-        usize incoming = 0;
-        for (int src = 0; src < P; ++src)
-          incoming += counts_fn(P, src)[static_cast<usize>(c.rank())];
-        out.resize(incoming);
-        c.alltoallv_into(std::span<const u64>(data),
-                         std::span<const usize>(send), std::span<u64>(out),
-                         rc);
-        break;
-      }
+    if (mode == IntoMode::Vector) {
+      c.alltoallv_into(std::span<const u64>(data),
+                       std::span<const usize>(send), out, rc);
+    } else {
+      // The span overload needs a pre-sized destination; incoming totals
+      // are derivable locally because counts_fn is a pure function.
+      usize incoming = 0;
+      for (int src = 0; src < P; ++src)
+        incoming += counts_fn(P, src)[static_cast<usize>(c.rank())];
+      out.resize(incoming);
+      c.alltoallv_into(std::span<const u64>(data),
+                       std::span<const usize>(send), std::span<u64>(out), rc);
     }
     res.data[c.rank()] = std::move(out);
     res.counts[c.rank()] = std::move(rc);
@@ -88,21 +104,18 @@ PathResult run_alltoallv(int P, const CountsFn& counts_fn, IntoMode mode) {
   return res;
 }
 
-void expect_paths_identical(int P, const CountsFn& counts_fn) {
-  const PathResult packed = run_alltoallv(P, counts_fn, IntoMode::Packed);
-  const PathResult pull_v = run_alltoallv(P, counts_fn, IntoMode::PullVector);
-  const PathResult pull_s = run_alltoallv(P, counts_fn, IntoMode::PullSpan);
+void expect_matches_packed(int P, const CountsFn& counts_fn) {
+  const PathResult want = packed_reference(P, counts_fn);
+  const PathResult vec = run_alltoallv(P, counts_fn, IntoMode::Vector);
+  const PathResult span = run_alltoallv(P, counts_fn, IntoMode::Span);
   for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(packed.data[r], pull_v.data[r]) << "P=" << P << " rank " << r;
-    EXPECT_EQ(packed.data[r], pull_s.data[r]) << "P=" << P << " rank " << r;
-    EXPECT_EQ(packed.counts[r], pull_v.counts[r]) << "P=" << P << " rank "
-                                                  << r;
-    EXPECT_EQ(packed.counts[r], pull_s.counts[r]) << "P=" << P << " rank "
-                                                  << r;
-    // Bit-identical simulated time: the cost model charges volume, not copy
-    // count, and both paths charge from the same byte matrix.
-    EXPECT_EQ(packed.times[r], pull_v.times[r]) << "P=" << P << " rank " << r;
-    EXPECT_EQ(packed.times[r], pull_s.times[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(want.data[r], vec.data[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(want.data[r], span.data[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(want.counts[r], vec.counts[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(want.counts[r], span.counts[r]) << "P=" << P << " rank " << r;
+    // Bit-identical simulated time: the cost model charges volume, and both
+    // overloads charge from the same byte matrix.
+    EXPECT_EQ(vec.times[r], span.times[r]) << "P=" << P << " rank " << r;
   }
 }
 
@@ -117,18 +130,18 @@ std::vector<usize> random_counts(int P, int rank) {
 }
 
 TEST(AlltoallvInto, MatchesPackedOnRandomLayouts) {
-  for (int P : {4, 8, 16}) expect_paths_identical(P, random_counts);
+  for (int P : {4, 8, 16}) expect_matches_packed(P, random_counts);
 }
 
 TEST(AlltoallvInto, MatchesPackedOnEmptyExchange) {
   for (int P : {4, 8, 16})
-    expect_paths_identical(
+    expect_matches_packed(
         P, [](int p, int) { return std::vector<usize>(p, 0); });
 }
 
 TEST(AlltoallvInto, MatchesPackedOnAllToSelf) {
   for (int P : {4, 8, 16})
-    expect_paths_identical(P, [](int p, int rank) {
+    expect_matches_packed(P, [](int p, int rank) {
       std::vector<usize> send(static_cast<usize>(p), 0);
       send[static_cast<usize>(rank)] = 37;
       return send;
@@ -136,10 +149,9 @@ TEST(AlltoallvInto, MatchesPackedOnAllToSelf) {
 }
 
 TEST(AlltoallvInto, MatchesPackedOnSkewedAllToOne) {
-  // One rank receives everything — the serial-executor worst case the pull
-  // path exists to fix.
+  // One rank receives everything: the most skewed receive layout.
   for (int P : {4, 8, 16})
-    expect_paths_identical(P, [](int p, int rank) {
+    expect_matches_packed(P, [](int p, int rank) {
       std::vector<usize> send(static_cast<usize>(p), 0);
       send[0] = 29 + static_cast<usize>(rank);
       return send;
@@ -161,7 +173,7 @@ TEST(AlltoallvInto, SpanOverloadRejectsWrongSize) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-level grid: exchange algorithm x kernel x path
+// Sort-level grid: exchange algorithm x kernel x merge, vs alltoallv
 
 struct SortRun {
   std::vector<std::vector<u64>> out;
@@ -189,49 +201,62 @@ SortRun run_sort(int P, const runtime::TeamConfig& tcfg, SortConfig cfg,
   return res;
 }
 
-void expect_sort_paths_identical(int P, SortConfig cfg, usize n_rank,
-                                 runtime::TeamConfig tcfg = {}) {
+/// cfg's per-rank output must be byte-identical to the alltoallv exchange
+/// with the default merge, and a second run of cfg must reproduce every
+/// rank's simulated time exactly (the borrowed sends and member pulls run
+/// on real threads, but the clock must not depend on their interleaving).
+void expect_matches_alltoallv(int P, SortConfig cfg, usize n_rank,
+                              runtime::TeamConfig tcfg = {},
+                              const workload::GenConfig& gen = {}) {
   tcfg.nranks = P;
-  cfg.path = DataPath::Pull;
-  const SortRun pull = run_sort(P, tcfg, cfg, n_rank);
-  cfg.path = DataPath::Packed;
-  const SortRun packed = run_sort(P, tcfg, cfg, n_rank);
+  SortConfig ref_cfg;
+  ref_cfg.kernel = cfg.kernel;
+  const SortRun ref = run_sort(P, tcfg, ref_cfg, n_rank, gen);
+  const SortRun first = run_sort(P, tcfg, cfg, n_rank, gen);
+  const SortRun again = run_sort(P, tcfg, cfg, n_rank, gen);
   for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(pull.out[r], packed.out[r])
+    EXPECT_EQ(first.out[r], ref.out[r])
         << "P=" << P << " rank " << r << " algo "
         << static_cast<int>(cfg.exchange);
-    EXPECT_EQ(pull.times[r], packed.times[r])
+    EXPECT_EQ(first.out[r], again.out[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(first.times[r], again.times[r])
         << "P=" << P << " rank " << r << " algo "
         << static_cast<int>(cfg.exchange);
   }
 }
 
 TEST(DataPathGrid, AlgorithmsTimesKernelsAtP8) {
-  for (ExchangeAlgorithm algo :
-       {ExchangeAlgorithm::Alltoallv, ExchangeAlgorithm::OneFactor,
-        ExchangeAlgorithm::Hypercube, ExchangeAlgorithm::Hierarchical}) {
+  struct Ex {
+    ExchangeAlgorithm algo;
+    int k;
+  };
+  for (const Ex ex : {Ex{ExchangeAlgorithm::Alltoallv, 0},
+                      Ex{ExchangeAlgorithm::OneFactor, 0},
+                      Ex{ExchangeAlgorithm::KAry, 2},
+                      Ex{ExchangeAlgorithm::Hierarchical, 0}}) {
     for (LocalSortKernel kernel :
          {LocalSortKernel::Comparison, LocalSortKernel::Radix}) {
       SortConfig cfg;
-      cfg.exchange = algo;
+      cfg.exchange = ex.algo;
+      if (ex.k > 0) cfg.exchange_k = ex.k;
       cfg.kernel = kernel;
-      expect_sort_paths_identical(8, cfg, 500);
+      expect_matches_alltoallv(8, cfg, 500);
     }
   }
 }
 
 TEST(DataPathGrid, AlltoallvAtP4AndP16) {
   SortConfig cfg;
-  expect_sort_paths_identical(4, cfg, 800);
-  expect_sort_paths_identical(16, cfg, 250);
+  expect_matches_alltoallv(4, cfg, 800);
+  expect_matches_alltoallv(16, cfg, 250);
 }
 
 TEST(DataPathGrid, OneFactorOverlapMerge) {
   SortConfig cfg;
   cfg.exchange = ExchangeAlgorithm::OneFactor;
   cfg.overlap_merge = true;
-  expect_sort_paths_identical(8, cfg, 600);
-  expect_sort_paths_identical(5, cfg, 400);  // odd P: idle rounds
+  expect_matches_alltoallv(8, cfg, 600);
+  expect_matches_alltoallv(5, cfg, 400);  // odd P: idle rounds
 }
 
 TEST(DataPathGrid, MergeStrategiesSeeIdenticalChunks) {
@@ -239,7 +264,7 @@ TEST(DataPathGrid, MergeStrategiesSeeIdenticalChunks) {
                           MergeStrategy::Tournament}) {
     SortConfig cfg;
     cfg.merge = m;
-    expect_sort_paths_identical(8, cfg, 400);
+    expect_matches_alltoallv(8, cfg, 400);
   }
 }
 
@@ -248,22 +273,22 @@ TEST(DataPathGrid, HierarchicalOnMultiNodeMachine) {
   tcfg.machine = net::MachineModel::supermuc_phase2(4, 4);
   SortConfig cfg;
   cfg.exchange = ExchangeAlgorithm::Hierarchical;
-  expect_sort_paths_identical(16, cfg, 300, tcfg);
+  expect_matches_alltoallv(16, cfg, 300, tcfg);
 }
 
 TEST(DataPathGrid, SkewedInputWithDuplicates) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Zipf;
-  for (DataPath path : {DataPath::Pull, DataPath::Packed}) {
-    SortConfig cfg;
-    cfg.path = path;
-    runtime::TeamConfig tcfg;
-    tcfg.nranks = 8;
-    const SortRun run = run_sort(8, tcfg, cfg, 700, gen);
-    usize total = 0;
-    for (const auto& o : run.out) total += o.size();
-    EXPECT_EQ(total, 8u * 700u);
-  }
+  SortConfig cfg;
+  cfg.exchange = ExchangeAlgorithm::KAry;
+  cfg.exchange_k = 2;
+  expect_matches_alltoallv(8, cfg, 700, {}, gen);
+  runtime::TeamConfig tcfg;
+  tcfg.nranks = 8;
+  const SortRun run = run_sort(8, tcfg, SortConfig{}, 700, gen);
+  usize total = 0;
+  for (const auto& o : run.out) total += o.size();
+  EXPECT_EQ(total, 8u * 700u);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,9 +306,7 @@ TEST(DataPathCheck, PullPathRunsViolationFree) {
     Team team(tcfg);
     team.run([&](Comm& c) {
       auto local = shards[c.rank()];
-      SortConfig cfg;
-      cfg.path = DataPath::Pull;
-      sort(c, local, cfg);
+      sort(c, local, SortConfig{});
     });
     ASSERT_NE(team.check_report(), nullptr);
     EXPECT_TRUE(team.check_report()->clean())
@@ -309,9 +332,7 @@ TEST(DataPathCheck, ElidedAlltoallvJoinIsNoticedOnPullPath) {
   Team team(tcfg);
   team.run([&](Comm& c) {
     auto local = shards[c.rank()];
-    SortConfig cfg;
-    cfg.path = DataPath::Pull;
-    sort(c, local, cfg);
+    sort(c, local, SortConfig{});
   });
   ASSERT_NE(team.check_report(), nullptr);
   EXPECT_GT(team.check_report()->joins_elided, 0u);

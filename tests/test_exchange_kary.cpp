@@ -1,9 +1,9 @@
 // Tests for the k-ary interleaved exchange (PR 7, DESIGN.md sec. 13): the
 // factorized swap schedule, the k-way in-place tournament tail merge, sort
-// correctness across the k x P x path x kernel grid (byte-identical to the
-// alltoallv exchange), degenerate layouts, pull/packed simulated-time
-// identity, hds::check coverage (clean run + elide mutation), and crash
-// recovery through a k-ary exchange.
+// correctness across the k x P x kernel grid (byte-identical to the
+// alltoallv exchange), degenerate layouts, run-to-run simulated-time
+// identity, rejection of k < 2, hds::check coverage (clean run + elide
+// mutation), and crash recovery through a k-ary exchange.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,7 +126,7 @@ TEST(KWayTailMerge, MatchesStdSortOnRandomRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-level grid: k x P x path x kernel, vs the alltoallv reference
+// Sort-level grid: k x P x kernel, vs the alltoallv reference
 
 /// Sort the same shards through cfg and through the alltoallv reference;
 /// expects byte-identical per-rank outputs and invariant compliance.
@@ -167,16 +167,13 @@ void check_kary_sort(int P, SortConfig cfg, workload::GenConfig gen,
 TEST(KAryExchange, GridOverKPathKernel) {
   for (int P : {4, 8, 16}) {
     for (int k : {2, 3, 4, 8, P}) {
-      for (DataPath path : {DataPath::Pull, DataPath::Packed}) {
-        SortConfig cfg;
-        cfg.exchange = ExchangeAlgorithm::KAry;
-        cfg.exchange_k = k;
-        cfg.path = path;
-        cfg.overlap_merge = true;
-        cfg.kernel = (k % 2 == 0) ? LocalSortKernel::Radix
-                                  : LocalSortKernel::Comparison;
-        check_kary_sort(P, cfg, {}, 300);
-      }
+      SortConfig cfg;
+      cfg.exchange = ExchangeAlgorithm::KAry;
+      cfg.exchange_k = k;
+      cfg.overlap_merge = true;
+      cfg.kernel = (k % 2 == 0) ? LocalSortKernel::Radix
+                                : LocalSortKernel::Comparison;
+      check_kary_sort(P, cfg, {}, 300);
     }
   }
 }
@@ -210,6 +207,23 @@ TEST(KAryExchange, WithoutOverlapFeedsSuperstepFourMerge) {
     cfg.overlap_merge = false;
     cfg.merge = m;
     check_kary_sort(8, cfg, {}, 400);
+  }
+}
+
+TEST(KAryExchange, RejectsKBelowTwo) {
+  // k < 2 names no schedule; the exchange must refuse it rather than
+  // silently run some other radix.
+  for (int k : {1, 0, -3}) {
+    Team team({.nranks = 4});
+    EXPECT_THROW(team.run([&](Comm& c) {
+                   std::vector<u64> v{3, 1, 2};
+                   SortConfig cfg;
+                   cfg.exchange = ExchangeAlgorithm::KAry;
+                   cfg.exchange_k = k;
+                   sort(c, v, cfg);
+                 }),
+                 argument_error)
+        << "k=" << k;
   }
 }
 
@@ -270,38 +284,38 @@ TEST(KAryExchange, SkewedDuplicatesAndSparse) {
 }
 
 // ---------------------------------------------------------------------------
-// Pull vs Packed: identical bytes AND identical simulated time
+// Identical bytes to alltoallv AND identical simulated time run to run
 
-TEST(KAryDataPath, PullAndPackedBitIdentical) {
+TEST(KAryDataPath, MatchesAlltoallvWithRepeatableTime) {
   for (int P : {4, 8, 16}) {
+    std::vector<std::vector<u64>> shards(P);
+    for (int r = 0; r < P; ++r)
+      shards[r] = workload::generate_u64({}, r, P, 400);
+    auto run_cfg = [&](const SortConfig& cfg) {
+      std::vector<std::vector<u64>> out(P);
+      std::vector<double> times(P);
+      Team team({.nranks = P});
+      team.run([&](Comm& c) {
+        auto local = shards[c.rank()];
+        sort(c, local, cfg);
+        out[c.rank()] = std::move(local);
+      });
+      for (int r = 0; r < P; ++r) times[r] = team.rank_time(r);
+      return std::make_pair(out, times);
+    };
+    const auto ref = run_cfg(SortConfig{});
     for (int k : {2, 4, P}) {
       for (bool overlap : {false, true}) {
-        std::vector<std::vector<u64>> shards(P);
-        for (int r = 0; r < P; ++r)
-          shards[r] = workload::generate_u64({}, r, P, 400);
-        auto run_path = [&](DataPath path) {
-          std::vector<std::vector<u64>> out(P);
-          std::vector<double> times(P);
-          Team team({.nranks = P});
-          team.run([&](Comm& c) {
-            auto local = shards[c.rank()];
-            SortConfig cfg;
-            cfg.exchange = ExchangeAlgorithm::KAry;
-            cfg.exchange_k = k;
-            cfg.overlap_merge = overlap;
-            cfg.path = path;
-            sort(c, local, cfg);
-            out[c.rank()] = std::move(local);
-          });
-          for (int r = 0; r < P; ++r) times[r] = team.rank_time(r);
-          return std::make_pair(out, times);
-        };
-        const auto pull = run_path(DataPath::Pull);
-        const auto packed = run_path(DataPath::Packed);
+        SortConfig cfg;
+        cfg.exchange = ExchangeAlgorithm::KAry;
+        cfg.exchange_k = k;
+        cfg.overlap_merge = overlap;
+        const auto first = run_cfg(cfg);
+        const auto again = run_cfg(cfg);
         for (int r = 0; r < P; ++r) {
-          EXPECT_EQ(pull.first[r], packed.first[r])
+          EXPECT_EQ(first.first[r], ref.first[r])
               << "P=" << P << " k=" << k << " overlap=" << overlap;
-          EXPECT_EQ(pull.second[r], packed.second[r])
+          EXPECT_EQ(first.second[r], again.second[r])
               << "P=" << P << " k=" << k << " overlap=" << overlap;
         }
       }

@@ -88,6 +88,7 @@ TEST(ModelExplorer, HistogramSortP3Deterministic) {
 }
 
 TEST(ModelExplorer, HypercubeExchangeDeterministic) {
+  // sort2-hypercube runs the k-ary exchange at k = 2.
   ExploreConfig cfg;
   cfg.max_runs = 32;
   expect_clean(explore(find_scenario("sort2-hypercube"), cfg));

@@ -64,7 +64,6 @@ TracedKAry run_traced_kary(int P, int k, usize n, u64 seed) {
     }();
     auto ex = core::exchange_kary(c, sorted_view, sp, key, k,
                                   /*overlap_merge=*/true,
-                                  core::DataPath::Pull,
                                   &out.rounds[static_cast<usize>(c.rank())]);
     EXPECT_TRUE(std::is_sorted(ex.data.begin(), ex.data.end()));
   });

@@ -341,7 +341,7 @@ TEST(LocalSortKernels, SameOutputDifferentCharge) {
 
 // ---------------------------------------------------------------------------
 // Kernel x ExchangeAlgorithm grid: the full sort's output must not depend
-// on either choice.
+// on either choice. The KAry cells run k = 2, the hypercube schedule.
 // ---------------------------------------------------------------------------
 
 using GridParam = std::tuple<LocalSortKernel, ExchangeAlgorithm>;
@@ -365,6 +365,7 @@ TEST_P(KernelExchangeGrid, InvariantsAndIdenticalOutput) {
   SortConfig cfg;
   cfg.kernel = kernel;
   cfg.exchange = exchange;
+  cfg.exchange_k = 2;  // only read by KAry
   std::vector<std::vector<u64>> out(P);
   Team team({.nranks = P});
   team.run([&](Comm& c) {
@@ -392,9 +393,8 @@ std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
   switch (exchange) {
     case ExchangeAlgorithm::Alltoallv: e = "Alltoallv"; break;
     case ExchangeAlgorithm::OneFactor: e = "OneFactor"; break;
-    case ExchangeAlgorithm::Hypercube: e = "Hypercube"; break;
     case ExchangeAlgorithm::Hierarchical: e = "Hierarchical"; break;
-    case ExchangeAlgorithm::KAry: e = "KAry"; break;
+    case ExchangeAlgorithm::KAry: e = "KAryK2"; break;
   }
   return std::string(kernel_name(kernel)) + "_" + e;
 }
@@ -406,7 +406,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          LocalSortKernel::Auto),
                        ::testing::Values(ExchangeAlgorithm::Alltoallv,
                                          ExchangeAlgorithm::OneFactor,
-                                         ExchangeAlgorithm::Hypercube,
+                                         ExchangeAlgorithm::KAry,
                                          ExchangeAlgorithm::Hierarchical)),
     grid_name);
 

@@ -499,8 +499,7 @@ TEST(BorrowAbort, ShrinkRecoveryDrainsOutstandingLoans) {
   auto parts = original;
   core::ResilienceConfig rcfg;
   rcfg.mode = core::RecoveryMode::ShrinkSurvivors;
-  core::SortConfig scfg;
-  scfg.path = core::DataPath::Pull;  // the borrowed single-copy path
+  core::SortConfig scfg;  // the borrowed single-copy exchange
   core::ResilienceReport rep;
   (void)core::sort_resilient(team, parts, scfg, rcfg, &rep);
   EXPECT_EQ(flatten(parts), flatten_sorted(original));

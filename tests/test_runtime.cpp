@@ -180,8 +180,10 @@ TEST(Collectives, AlltoallvMovesExactSlices) {
       for (usize i = 0; i < counts[d]; ++i)
         data.push_back(static_cast<u64>(c.rank() * 10 + d));
     }
+    std::vector<u64> recv;
     std::vector<usize> rcounts;
-    const auto recv = c.alltoallv(std::span<const u64>(data), counts, &rcounts);
+    c.alltoallv_into(std::span<const u64>(data),
+                     std::span<const usize>(counts), recv, rcounts);
     ASSERT_EQ(rcounts.size(), static_cast<usize>(P));
     usize off = 0;
     for (int s = 0; s < P; ++s) {
@@ -202,8 +204,10 @@ TEST(Collectives, AlltoallvEmptyContributions) {
       counts = {2, 0, 1};
       data = {7, 7, 9};
     }
+    std::vector<u64> recv;
     std::vector<usize> rcounts;
-    const auto recv = c.alltoallv(std::span<const u64>(data), counts, &rcounts);
+    c.alltoallv_into(std::span<const u64>(data),
+                     std::span<const usize>(counts), recv, rcounts);
     if (c.rank() == 0) {
       EXPECT_EQ(recv, (std::vector<u64>{7, 7}));
     } else if (c.rank() == 2) {
@@ -398,7 +402,10 @@ TEST(SimClock, DataScaleMultipliesDataTraffic) {
     team.run([&](Comm& c) {
       std::vector<u64> data(4096);
       std::vector<usize> counts(4, 1024);
-      (void)c.alltoallv(std::span<const u64>(data), counts);
+      std::vector<u64> recv;
+      std::vector<usize> rcounts;
+      c.alltoallv_into(std::span<const u64>(data),
+                       std::span<const usize>(counts), recv, rcounts);
       if (c.rank() == 0) t = c.clock().now();
     });
     return t;

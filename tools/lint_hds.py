@@ -74,8 +74,10 @@ COMM_OP_METHODS = [
     "sample_gatherv",
     "gatherv",
     "alltoall",
-    "alltoallv",
     "alltoallv_into",
+    # The one irregular all-to-all body both alltoallv_into overloads
+    # delegate to; checked directly so the delegation below cannot hide it.
+    "alltoallv_pull",
     "send",
     "send_borrowed",
     "send_uncharged",
@@ -90,13 +92,12 @@ COMM_OP_METHODS = [
 ]
 
 # A method body satisfies comm-note-op if it hits the hook directly or
-# delegates to one of the internal helpers that do (the single-copy pull
-# protocol and the shared P2P receive path).
+# delegates to one of the internal helpers that do (the irregular
+# all-to-all body and the shared P2P receive path).
 NOTE_OP_HOOKS = (
     "collective(",
     "note_op(",
     "collective_pull(",
-    "alltoallv_pull(",
     "alltoallv_pull<",
     "recv_bytes_into(",
 )
@@ -106,7 +107,6 @@ NOTE_OP_HOOKS = (
 # bodies name it themselves and are checked transitively).
 OP_CLASS_HOOKS = (
     "OpClass::",
-    "alltoallv_pull(",
     "alltoallv_pull<",
     "recv_bytes_into(",
     "scan_impl(",

@@ -12,10 +12,10 @@ One entry point replaces the inline python blocks ci.sh used to carry:
 Kinds and their gates (unchanged from the historical ci.sh heredocs):
   local_sort  cell shape; the radix kernel must beat std::sort on uniform
               u64 at n = 2^20 (the wall-clock claim behind Auto dispatch).
-  exchange    cell shape incl. per-round k-ary breakdowns; the pull path
-              must beat packed by >= 1.3x on the u64 P=16 exchange
-              superstep, and the best k-ary exchange must beat
-              packed-alltoallv-plus-merge by >= 1.3x on u64 P=16.
+  exchange    cell shape incl. per-round k-ary breakdowns: alltoallv
+              exchange and exchange+merge cells at every (type, P), and
+              k-ary cells carrying their speedup over the alltoallv
+              exchange+merge cell. Wall-clock only; no ratio gate.
   recovery    cell shape; fault-free checkpoint overhead <= 10% at
               P in {4, 8, 16}; ResumeCheckpoint beats RestartFull for
               crashes at or after the exchange superstep.
@@ -87,15 +87,16 @@ def check_exchange(path: str) -> None:
     require(isinstance(cells, list) and bool(cells),
             f"{path}: empty or malformed JSON")
     for c in cells:
-        for k in ("type", "nranks", "path", "phase", "n_per_rank",
-                  "seconds_median", "speedup_vs_packed", "algo", "k"):
+        for k in ("type", "nranks", "phase", "n_per_rank",
+                  "seconds_median", "algo", "k"):
             require(k in c, f"missing field {k}: {c}")
-        require(c["path"] in ("packed", "pull"), str(c))
         require(c["phase"] in ("exchange", "exchange+merge"), str(c))
         require(c["algo"] in ("alltoallv", "kary"), str(c))
         require(c["seconds_median"] > 0.0, str(c))
         if c["algo"] == "kary":
             require(c["k"] >= 2 and c["phase"] == "exchange+merge", str(c))
+            require(c.get("speedup_vs_alltoallv", 0.0) > 0.0,
+                    f"kary cell missing speedup_vs_alltoallv: {c}")
             require(bool(c.get("rounds")),
                     f"kary cell missing per-round breakdown: {c}")
             for r in c["rounds"]:
@@ -103,29 +104,21 @@ def check_exchange(path: str) -> None:
                         str(c))
         else:
             require(c["k"] == 0 and "rounds" not in c, str(c))
-    target = [c for c in cells
-              if c["type"] == "u64" and c["nranks"] == 16 and
-              c["path"] == "pull" and c["phase"] == "exchange" and
-              c["algo"] == "alltoallv"]
-    require(bool(target), "no u64 P=16 pull exchange cell")
-    speedup = target[0]["speedup_vs_packed"]
-    require(speedup >= 1.3,
-            f"pull path only {speedup:.2f}x vs packed on u64 P=16 exchange "
-            "(< 1.3x)")
-    print(f"perf gate OK: pull {speedup:.2f}x faster than packed "
-          "(u64, P=16, exchange superstep)")
+    shapes = {(c["type"], c["nranks"]) for c in cells}
+    for t, p in sorted(shapes):
+        for phase in ("exchange", "exchange+merge"):
+            require(any(c["type"] == t and c["nranks"] == p and
+                        c["algo"] == "alltoallv" and c["phase"] == phase
+                        for c in cells),
+                    f"no {t} P={p} alltoallv {phase} cell")
     kary = [c for c in cells
             if c["algo"] == "kary" and c["type"] == "u64" and
             c["nranks"] == 16]
     require(bool(kary), "no u64 P=16 kary cells")
-    best = max(kary, key=lambda c: c["speedup_vs_packed"])
-    require(best["speedup_vs_packed"] >= 1.3,
-            f"best k-ary (k={best['k']}) only "
-            f"{best['speedup_vs_packed']:.2f}x vs packed alltoallv on u64 "
-            "P=16 exchange+merge (< 1.3x)")
-    print(f"perf gate OK: k-ary k={best['k']} "
-          f"{best['speedup_vs_packed']:.2f}x faster than packed alltoallv "
-          "(u64, P=16, exchange+merge supersteps)")
+    best = max(kary, key=lambda c: c["speedup_vs_alltoallv"])
+    print(f"exchange cells OK ({len(cells)}): best k-ary k={best['k']} "
+          f"{best['speedup_vs_alltoallv']:.2f}x vs alltoallv "
+          "(u64, P=16, exchange+merge supersteps; wall-clock, not gated)")
 
 
 def check_recovery(path: str) -> None:
