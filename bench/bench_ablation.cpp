@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     Table t({"final merge", "time [s]"});
     for (auto strategy :
          {core::MergeStrategy::Sort, core::MergeStrategy::BinaryTree,
-          core::MergeStrategy::Tournament}) {
+          core::MergeStrategy::Tournament, core::MergeStrategy::Auto}) {
       core::SortConfig scfg;
       scfg.merge = strategy;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);

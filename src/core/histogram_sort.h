@@ -54,8 +54,11 @@ enum class ExchangeAlgorithm : u8 {
 struct SortConfig {
   /// Load-balance threshold epsilon (Def. 1); 0 = perfect partitioning.
   double epsilon = 0.0;
-  MergeStrategy merge = MergeStrategy::Sort;
-  /// Local-sort kernel for superstep 1 and the Sort merge strategy.
+  /// Superstep 4's merge of the received runs. Auto prices the k-way merge
+  /// against the re-sort per call (resolve_merge_strategy).
+  MergeStrategy merge = MergeStrategy::Auto;
+  /// Local-sort kernel for superstep 1 and the merge's re-sort (Sort, or
+  /// Auto when it re-sorts).
   LocalSortKernel kernel = LocalSortKernel::Auto;
   SplitterInit init = SplitterInit::MinMax;
   usize sample_per_rank = 16;  ///< only used with SplitterInit::Sampled

@@ -92,6 +92,13 @@ LocalSortKernel resolve_local_sort_kernel(const net::MachineModel& m, usize n,
   }
 }
 
+/// Whether the radix kernel sorts T through materialized (uint key, value)
+/// pairs, which Comm::charge_radix_sort prices one merge pass above the
+/// in-place key path. Only "the record is the key" sorts in place.
+template <class T, class KeyFn>
+inline constexpr bool radix_sorts_pairs =
+    !(std::is_same_v<KeyFn, IdentityKey> && Bisectable<T>);
+
 /// Sort the local partition by a key projection; charged as the shared
 /// memory sort of superstep 1 with the cost of the kernel that ran.
 template <class T, class KeyFn>
@@ -102,10 +109,10 @@ void local_sort(runtime::Comm& comm, std::vector<T>& data, KeyFn key,
     if (resolve_local_sort_kernel<K>(comm.machine(), data.size(), kernel) ==
         LocalSortKernel::Radix) {
       RadixSortStats st;
-      if constexpr (std::is_same_v<KeyFn, IdentityKey> && Bisectable<T>) {
-        st = radix_sort_keys(data);
-      } else {
+      if constexpr (radix_sorts_pairs<T, KeyFn>) {
         st = radix_sort_by_key(data, key);
+      } else {
+        st = radix_sort_keys(data);
       }
       comm.charge_radix_sort(data.size(), st.passes_executed, st.used_pairs);
       return;

@@ -1,15 +1,21 @@
 // Local k-way merging of the sorted chunks received in the exchange
-// (Sec. V-C and the merging study of Sec. VI-E2). Three strategies:
+// (Sec. V-C and the merging study of Sec. VI-E2). Four strategies:
 //
 //  * Sort        — re-sort the concatenation with a fast shared-memory sort
 //                  (what the paper's evaluated implementation does);
 //  * BinaryTree  — out-of-place pairwise merge tree, O(n log k), each element
 //                  moves log k times;
-//  * Tournament  — loser-tree k-way merge, O(n log k) comparisons but each
-//                  element moves once (cache-efficient for small k).
+//  * Tournament  — stable k-way loser-tree merge (kway_merge_into in
+//                  merge_inplace.h), O(n log k) comparisons but each
+//                  element moves once;
+//  * Auto        — per call, whichever of Tournament and Sort the cost model
+//                  prices cheaper: the k-way merge at small fan-in, the
+//                  re-sort once the run heads fall out of cache (Sec. VI-E2).
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -46,105 +52,86 @@ std::span<T> pooled_scratch(runtime::Comm& comm, usize n) {
 
 }  // namespace detail
 
-enum class MergeStrategy : u8 { Sort, BinaryTree, Tournament };
+enum class MergeStrategy : u8 { Sort, BinaryTree, Tournament, Auto };
 
 constexpr std::string_view merge_name(MergeStrategy m) {
   switch (m) {
     case MergeStrategy::Sort: return "sort";
     case MergeStrategy::BinaryTree: return "binary-tree";
     case MergeStrategy::Tournament: return "tournament";
+    case MergeStrategy::Auto: return "auto";
   }
   return "?";
 }
 
-/// Loser tree over k sorted runs: pop() yields the globally smallest head in
-/// O(log k) comparisons with a single replay path per extraction (Knuth's
-/// tournament of losers).
-template <class T, class Less>
-class LoserTree {
- public:
-  LoserTree(std::vector<std::span<const T>> runs, Less less)
-      : runs_(std::move(runs)), less_(less) {
-    k_ = runs_.size();
-    cursor_.assign(k_, 0);
-    if (k_ == 0) return;
-    m_ = 1;
-    while (m_ < k_) m_ <<= 1;  // leaves padded to a power of two
-    tree_.assign(2 * m_, kEmpty);
-    rebuild();
-  }
-
-  bool empty() const { return tree_.empty() || tree_[0] == kEmpty; }
-
-  /// Extract the smallest element across all runs.
-  T pop() {
-    HDS_CHECK(!empty());
-    const usize w = tree_[0];
-    const T out = runs_[w][cursor_[w]];
-    ++cursor_[w];
-    replay(w);
-    return out;
-  }
-
- private:
-  static constexpr usize kEmpty = static_cast<usize>(-1);
-
-  const T& head(usize run) const { return runs_[run][cursor_[run]]; }
-  bool exhausted(usize run) const {
-    return run >= k_ || cursor_[run] >= runs_[run].size();
-  }
-
-  /// The run with the smaller head; exhausted/empty runs always lose.
-  usize winner_of(usize a, usize b) {
-    if (a == kEmpty) return b;
-    if (b == kEmpty) return a;
-    return less_(head(b), head(a)) ? b : a;
-  }
-
-  /// Rebuild the whole tree from the current cursors (O(k)); used at init.
-  void rebuild() {
-    std::vector<usize> level(m_);
-    for (usize i = 0; i < m_; ++i)
-      level[i] = (i < k_ && !exhausted(i)) ? i : kEmpty;
-    // Bottom-up: compute winners per node, store losers.
-    std::vector<usize> win(2 * m_, kEmpty);
-    for (usize i = 0; i < m_; ++i) win[m_ + i] = level[i];
-    for (usize node = m_ - 1; node >= 1; --node) {
-      const usize a = win[2 * node];
-      const usize b = win[2 * node + 1];
-      const usize w = winner_of(a, b);
-      win[node] = w;
-      tree_[node] = (w == a) ? b : a;  // store the loser
+/// Simulated seconds MergeStrategy::Sort would charge to re-sort the runs
+/// concatenated in `data`, in O(k) and without touching the run interiors.
+/// The kernel resolves exactly as local_sort resolves it. For the radix
+/// kernel the scatter-pass count is bounded from the run endpoints: every
+/// key lies between the smallest run head and the largest run tail, so the
+/// digits above their highest differing byte are constant and the kernel
+/// skips them.
+template <class T, class KeyFn>
+double resort_charge(const net::CostModel& cost, std::span<const T> data,
+                     std::span<const usize> counts, KeyFn key,
+                     LocalSortKernel kernel) {
+  using K = std::decay_t<decltype(key(std::declval<T>()))>;
+  const usize n = data.size();
+  if constexpr (Bisectable<K>) {
+    if (resolve_local_sort_kernel<K>(cost.machine(), n, kernel) ==
+        LocalSortKernel::Radix) {
+      using Traits = KeyTraits<K>;
+      using UK = typename Traits::uint_type;
+      UK lo = std::numeric_limits<UK>::max();
+      UK hi = 0;
+      usize off = 0;
+      for (usize c : counts) {
+        if (c > 0) {
+          lo = std::min(lo, Traits::to_uint(key(data[off])));
+          hi = std::max(hi, Traits::to_uint(key(data[off + c - 1])));
+        }
+        off += c;
+      }
+      const usize passes =
+          lo >= hi ? 0
+                   : (static_cast<usize>(std::bit_width(
+                          static_cast<u64>(lo ^ hi))) +
+                      radix_detail::kDigitBits - 1) /
+                         radix_detail::kDigitBits;
+      return cost.radix_sort(n, passes) +
+             (radix_sorts_pairs<T, KeyFn> ? cost.merge_pass(n) : 0.0);
     }
-    tree_[0] = win[1];
   }
+  return cost.sort(n);
+}
 
-  /// After consuming from run w, replay w's path to the root.
-  void replay(usize w) {
-    usize contender = exhausted(w) ? kEmpty : w;
-    usize node = (m_ + w) / 2;
-    while (node >= 1) {
-      const usize other = tree_[node];
-      const usize win = winner_of(contender, other);
-      tree_[node] = (win == contender) ? other : contender;
-      contender = win;
-      node /= 2;
-    }
-    tree_[0] = contender;
-  }
-
-  std::vector<std::span<const T>> runs_;
-  Less less_;
-  usize k_ = 0;
-  usize m_ = 0;               ///< leaves (power of two)
-  std::vector<usize> cursor_;
-  std::vector<usize> tree_;   ///< losers per internal node; winner at [0]
-};
+/// Resolve MergeStrategy::Auto for the runs concatenated in `data`:
+/// Tournament when the cost model prices the k-way merge strictly below
+/// the re-sort (resort_charge), Sort otherwise. Mirrors
+/// LocalSortKernel::Auto: the merge wins at small fan-in, and the re-sort
+/// keeps the fan-ins where the cache-miss term of
+/// CostModel::kway_heap_merge makes merging dearer. Any other requested
+/// strategy resolves to itself.
+template <class T, class KeyFn>
+MergeStrategy resolve_merge_strategy(const net::CostModel& cost,
+                                     std::span<const T> data,
+                                     std::span<const usize> counts, KeyFn key,
+                                     MergeStrategy requested,
+                                     LocalSortKernel kernel) {
+  if (requested != MergeStrategy::Auto) return requested;
+  const auto nonempty = static_cast<usize>(std::count_if(
+      counts.begin(), counts.end(), [](usize c) { return c > 0; }));
+  return cost.kway_heap_merge(data.size(), nonempty) <
+                 resort_charge(cost, data, counts, key, kernel)
+             ? MergeStrategy::Tournament
+             : MergeStrategy::Sort;
+}
 
 /// Merge `k` sorted runs (concatenated in `data`, lengths in `counts`) into
 /// a single sorted sequence, charging simulated time per strategy. The Sort
 /// strategy re-sorts through the local-sort kernel layer, so `kernel`
-/// selects the same comparison/radix dispatch as superstep 1.
+/// selects the same comparison/radix dispatch as superstep 1; Auto picks
+/// Tournament or Sort per call (resolve_merge_strategy).
 template <class T, class KeyFn>
 void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
                   std::span<const usize> counts, MergeStrategy strategy,
@@ -166,7 +153,9 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
     if (c > 0) ++nonempty;
   if (nonempty <= 1) return;  // zero or one chunk: already sorted
 
-  switch (strategy) {
+  switch (resolve_merge_strategy(comm.cost(), std::span<const T>(data),
+                                 counts, key, strategy, kernel)) {
+    case MergeStrategy::Auto:  // resolve_merge_strategy never returns it
     case MergeStrategy::Sort: {
       local_sort(comm, data, key, kernel);
       return;
@@ -230,9 +219,10 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
       return;
     }
     case MergeStrategy::Tournament: {
-      // The loser tree reads the runs in place and extracts into the pooled
-      // arena, which is then copied back over `data` — no per-call output
-      // allocation.
+      // The first run is the base of the two-segment loser-tree kernel and
+      // the others are its chunks. The output is a transient vector swapped
+      // into `data`, not the pooled arena: a full-size pooled buffer would
+      // stay resident on every rank after the sort returns.
       std::vector<std::span<const T>> runs;
       usize off = 0;
       for (usize c : counts) {
@@ -240,12 +230,11 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
           runs.emplace_back(std::span<const T>(data.data() + off, c));
         off += c;
       }
-      LoserTree<T, decltype(less)> tree(std::move(runs), less);
-      std::span<T> out = detail::pooled_scratch<T>(comm, n);
-      usize w = 0;
-      while (!tree.empty()) out[w++] = tree.pop();
-      HDS_CHECK(w == n);
-      std::copy(out.begin(), out.end(), data.begin());
+      std::vector<T> out(n);
+      kway_merge_into(std::span<T>(out), runs.front(),
+                      std::span<const std::span<const T>>(runs).subspan(1),
+                      less);
+      data.swap(out);
       comm.charge_kway_merge(n, nonempty);
       comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
       return;

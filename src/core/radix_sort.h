@@ -10,8 +10,10 @@
 //    pass whose digit is constant across the whole array (common for keys
 //    that occupy only the low bytes of their type) is detected and skipped
 //    without ever touching the data for that pass;
-//  * ping-pong scatter between the input and one scratch buffer; if an odd
-//    number of passes executed, the buffers are swapped back in O(1);
+//  * ping-pong scatter between the input and one scratch buffer, allocated
+//    per call without zero-fill (the scatter overwrites it) and freed on
+//    return so it adds nothing to a rank's resident memory between sorts;
+//    if an odd number of passes executed, the result is copied back;
 //  * stable throughout (counting sort per digit), so payload order among
 //    equal keys is preserved — unlike introsort.
 //
@@ -21,7 +23,9 @@
 // by a single gather permutation.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -67,9 +71,9 @@ RadixSortStats lsd_radix_sort(std::vector<E>& data, KeyOf key_of) {
       ++hist[p * kBuckets + ((k >> (p * kDigitBits)) & (kBuckets - 1))];
   }
 
-  std::vector<E> scratch(n);
+  const auto scratch = std::make_unique_for_overwrite<E[]>(n);
   E* src = data.data();
-  E* dst = scratch.data();
+  E* dst = scratch.get();
   std::array<usize, kBuckets> offs;
   for (usize p = 0; p < kPasses; ++p) {
     const usize* h = &hist[p * kBuckets];
@@ -97,7 +101,7 @@ RadixSortStats lsd_radix_sort(std::vector<E>& data, KeyOf key_of) {
     std::swap(src, dst);
     ++st.passes_executed;
   }
-  if (src != data.data()) data.swap(scratch);
+  if (src != data.data()) std::copy(src, src + n, data.data());
   return st;
 }
 

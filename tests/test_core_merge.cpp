@@ -1,8 +1,10 @@
-// Tests for the local k-way merge strategies (Sec. V-C): loser tree,
-// binary merge tree, and re-sort, against std::merge / std::sort oracles.
+// Tests for the local k-way merge strategies (Sec. V-C): the k-way
+// loser-tree kernel, binary merge tree, re-sort and the cost-priced Auto
+// dispatch between them, against std::sort / std::stable_sort oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/rng.h"
 #include "core/merge.h"
@@ -95,37 +97,115 @@ TEST_P(MergeStrategyTest, DuplicateHeavy) {
   EXPECT_EQ(data, expected);
 }
 
+std::string strategy_test_name(MergeStrategy m) {
+  switch (m) {
+    case MergeStrategy::Sort: return "Sort";
+    case MergeStrategy::BinaryTree: return "BinaryTree";
+    case MergeStrategy::Tournament: return "Tournament";
+    case MergeStrategy::Auto: return "Auto";
+  }
+  return "Unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStrategyTest,
                          ::testing::Values(MergeStrategy::Sort,
                                            MergeStrategy::BinaryTree,
-                                           MergeStrategy::Tournament),
+                                           MergeStrategy::Tournament,
+                                           MergeStrategy::Auto),
                          [](const auto& pinfo) {
-                           return std::string(merge_name(pinfo.param)) ==
-                                          "sort"
-                                      ? "Sort"
-                                  : merge_name(pinfo.param) == "binary-tree"
-                                      ? "BinaryTree"
-                                      : "Tournament";
+                           return strategy_test_name(pinfo.param);
                          });
 
+// ---------------------------------------------------------------------------
+// Stability: 16-byte records whose payload records the input position.
+// ---------------------------------------------------------------------------
+
+struct Rec {
+  u64 key;
+  u64 tag;
+};
+struct RecKey {
+  u64 operator()(const Rec& r) const { return r.key; }
+};
+
+/// Merge the concatenated runs with `strategy` (radix kernel, so the Sort
+/// fallback is stable too) and require the bytes of std::stable_sort.
+void check_stable(MergeStrategy strategy, std::vector<Rec> data,
+                  std::vector<usize> counts) {
+  std::vector<Rec> expected = data;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Rec& a, const Rec& b) { return a.key < b.key; });
+  Team team({.nranks = 1});
+  team.run([&](Comm& c) {
+    merge_chunks(c, data, std::span<const usize>(counts), strategy, RecKey{},
+                 LocalSortKernel::Radix);
+  });
+  ASSERT_EQ(data.size(), expected.size());
+  EXPECT_EQ(std::memcmp(data.data(), expected.data(),
+                        data.size() * sizeof(Rec)),
+            0);
+}
+
+class MergeStabilityTest : public ::testing::TestWithParam<MergeStrategy> {};
+
+TEST_P(MergeStabilityTest, EqualKeysKeepRunOrder) {
+  // A later run's smaller key must not drag the earlier run's equal key
+  // behind its own.
+  check_stable(GetParam(), {{5, 'a'}, {4, 'b'}, {5, 'c'}}, {1, 2});
+}
+
+TEST_P(MergeStabilityTest, DuplicateHeavyRecords) {
+  Xoshiro256 rng(21);
+  for (const usize k : {2, 3, 4, 9, 33}) {
+    std::vector<Rec> data;
+    std::vector<usize> counts;
+    for (usize r = 0; r < k; ++r) {
+      std::vector<Rec> run(rng() % 700);
+      for (auto& e : run) e.key = rng() % 7;
+      std::sort(run.begin(), run.end(),
+                [](const Rec& a, const Rec& b) { return a.key < b.key; });
+      for (usize i = 0; i < run.size(); ++i) run[i].tag = data.size() + i;
+      data.insert(data.end(), run.begin(), run.end());
+      counts.push_back(run.size());
+    }
+    check_stable(GetParam(), std::move(data), std::move(counts));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStabilityTest,
+                         ::testing::Values(MergeStrategy::Sort,
+                                           MergeStrategy::BinaryTree,
+                                           MergeStrategy::Tournament,
+                                           MergeStrategy::Auto),
+                         [](const auto& pinfo) {
+                           return strategy_test_name(pinfo.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// The k-way loser-tree kernel (kway_merge_into) on its own.
+// ---------------------------------------------------------------------------
+
+/// kway_merge_into over `runs`: the first is the base, the rest the chunks.
+template <class T>
+std::vector<T> kway_merge(const std::vector<std::vector<T>>& runs) {
+  std::vector<std::span<const T>> chunks(runs.begin() + 1, runs.end());
+  usize n = 0;
+  for (const auto& r : runs) n += r.size();
+  std::vector<T> out(n);
+  kway_merge_into(std::span<T>(out), std::span<const T>(runs.front()),
+                  std::span<const std::span<const T>>(chunks),
+                  [](const T& x, const T& y) { return x < y; });
+  return out;
+}
+
 TEST(LoserTreeTest, PopsInGlobalOrder) {
-  std::vector<u32> a{1, 4, 9}, b{2, 3, 10}, c{0, 5};
-  std::vector<std::span<const u32>> runs = {a, b, c};
-  auto less = [](u32 x, u32 y) { return x < y; };
-  LoserTree<u32, decltype(less)> tree(runs, less);
-  std::vector<u32> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, (std::vector<u32>{0, 1, 2, 3, 4, 5, 9, 10}));
+  const std::vector<std::vector<u32>> runs = {{1, 4, 9}, {2, 3, 10}, {0, 5}};
+  EXPECT_EQ(kway_merge(runs), (std::vector<u32>{0, 1, 2, 3, 4, 5, 9, 10}));
 }
 
 TEST(LoserTreeTest, SingleRun) {
-  std::vector<u32> a{3, 7, 11};
-  std::vector<std::span<const u32>> runs = {a};
-  auto less = [](u32 x, u32 y) { return x < y; };
-  LoserTree<u32, decltype(less)> tree(runs, less);
-  std::vector<u32> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, a);
+  const std::vector<std::vector<u32>> runs = {{3, 7, 11}};
+  EXPECT_EQ(kway_merge(runs), runs[0]);
 }
 
 TEST(LoserTreeTest, StressAgainstSort) {
@@ -141,12 +221,7 @@ TEST(LoserTreeTest, StressAgainstSort) {
       expected.insert(expected.end(), ch.begin(), ch.end());
     }
     std::sort(expected.begin(), expected.end());
-    std::vector<std::span<const u64>> runs(chunks.begin(), chunks.end());
-    auto less = [](u64 x, u64 y) { return x < y; };
-    LoserTree<u64, decltype(less)> tree(runs, less);
-    std::vector<u64> out;
-    while (!tree.empty()) out.push_back(tree.pop());
-    EXPECT_EQ(out, expected) << "trial " << trial;
+    EXPECT_EQ(kway_merge(chunks), expected) << "trial " << trial;
   }
 }
 
@@ -168,6 +243,110 @@ TEST(MergeCosts, TournamentChargedByLogK) {
     t_many = c.clock().now() - t1;
   });
   EXPECT_GT(t_many, t_few);  // same n, more chunks -> deeper tournament
+}
+
+// ---------------------------------------------------------------------------
+// MergeStrategy::Auto dispatch.
+// ---------------------------------------------------------------------------
+
+/// `k` sorted runs of `per` keys each, uniform in [0, span) (span 0 = the
+/// whole u64 range); returns (data, counts).
+std::pair<std::vector<u64>, std::vector<usize>> uniform_runs(usize k,
+                                                             usize per,
+                                                             u64 span,
+                                                             u64 seed) {
+  Xoshiro256 rng(seed);
+  std::vector<u64> data;
+  std::vector<usize> counts(k, per);
+  for (usize r = 0; r < k; ++r) {
+    std::vector<u64> run(per);
+    for (auto& v : run) v = span == 0 ? rng() : rng() % span;
+    std::sort(run.begin(), run.end());
+    data.insert(data.end(), run.begin(), run.end());
+  }
+  return {std::move(data), std::move(counts)};
+}
+
+TEST(MergeAutoDispatch, MergesAtSmallFanIn) {
+  // P=4 on the default machine: a k=4 merge is priced below the 4-pass
+  // radix re-sort of keys in [0, 1e9].
+  const net::CostModel cost{net::MachineModel{}};
+  const auto [data, counts] = uniform_runs(4, 1 << 14, 1'000'000'000, 1);
+  EXPECT_EQ(resolve_merge_strategy(cost, std::span<const u64>(data),
+                                   std::span<const usize>(counts),
+                                   IdentityKey{}, MergeStrategy::Auto,
+                                   LocalSortKernel::Auto),
+            MergeStrategy::Tournament);
+}
+
+TEST(MergeAutoDispatch, ResortsAtLargeFanIn) {
+  // Fig. 2's P=1024 point: 1024 keys per rank standing for 2^31 in total.
+  // The run heads of a k=1024 merge fall out of cache (Sec. VI-E2), so the
+  // re-sort stays.
+  const int P = 1024;
+  const net::CostModel cost{
+      net::MachineModel::supermuc_phase2(64, 16),
+      static_cast<double>(u64{1} << 31) / static_cast<double>(P * 1024)};
+  const auto [data, counts] = uniform_runs(P, 1, 1'000'000'000, 2);
+  EXPECT_EQ(resolve_merge_strategy(cost, std::span<const u64>(data),
+                                   std::span<const usize>(counts),
+                                   IdentityKey{}, MergeStrategy::Auto,
+                                   LocalSortKernel::Auto),
+            MergeStrategy::Sort);
+}
+
+/// Simulated charge and output of one merge_chunks call on a one-rank team.
+template <class T, class KeyFn>
+std::pair<double, std::vector<T>> charged_merge(
+    const runtime::TeamConfig& tc, std::vector<T> data,
+    const std::vector<usize>& counts, MergeStrategy strategy, KeyFn key) {
+  double charged = 0.0;
+  Team team(tc);
+  team.run([&](Comm& c) {
+    const double t0 = c.clock().now();
+    merge_chunks(c, data, std::span<const usize>(counts), strategy, key);
+    charged = c.clock().now() - t0;
+  });
+  return {charged, std::move(data)};
+}
+
+TEST(MergeAutoDispatch, NeverChargedAboveResort) {
+  // Over (n, k, key span), on a single-node and a data-scaled cluster
+  // machine, for the in-place key path and the record pairs path: Auto's
+  // charge never exceeds the re-sort's, and the output is the same.
+  runtime::TeamConfig small;
+  small.nranks = 1;
+  runtime::TeamConfig scaled = small;
+  scaled.machine = net::MachineModel::supermuc_phase2(64, 16);
+  scaled.data_scale = 2048.0;
+  u64 seed = 100;
+  for (const auto& tc : {small, scaled}) {
+    for (const usize n : {64, 700, 6000}) {
+      for (const usize k : {2, 3, 4, 16, 64, 256, 1024}) {
+        for (const u64 span : {u64{1} << 8, u64{1} << 20, u64{1} << 40,
+                               u64{0}}) {
+          const usize per = std::max<usize>(n / k, 1);
+          auto [keys, counts] = uniform_runs(k, per, span, ++seed);
+          const auto [auto_s, auto_out] = charged_merge(
+              tc, keys, counts, MergeStrategy::Auto, IdentityKey{});
+          const auto [sort_s, sort_out] = charged_merge(
+              tc, keys, counts, MergeStrategy::Sort, IdentityKey{});
+          EXPECT_LE(auto_s, sort_s) << "n=" << n << " k=" << k
+                                    << " span=" << span;
+          EXPECT_EQ(auto_out, sort_out);
+
+          std::vector<Rec> recs(keys.size());
+          for (usize i = 0; i < keys.size(); ++i) recs[i] = {keys[i], i};
+          const auto [rec_auto_s, rec_auto_out] = charged_merge(
+              tc, recs, counts, MergeStrategy::Auto, RecKey{});
+          const auto [rec_sort_s, rec_sort_out] = charged_merge(
+              tc, recs, counts, MergeStrategy::Sort, RecKey{});
+          EXPECT_LE(rec_auto_s, rec_sort_s) << "records n=" << n
+                                            << " k=" << k << " span=" << span;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

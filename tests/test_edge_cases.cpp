@@ -143,24 +143,35 @@ TEST(SearchEdge, BoundsAtExtremes) {
 }
 
 TEST(LoserTreeEdge, AllRunsEmpty) {
-  std::vector<u64> a, b;
-  std::vector<std::span<const u64>> runs = {a, b};
-  auto less = [](u64 x, u64 y) { return x < y; };
-  core::LoserTree<u64, decltype(less)> tree(runs, less);
-  EXPECT_TRUE(tree.empty());
+  std::vector<u64> data;
+  const std::vector<usize> counts{0, 0};
+  Team team({.nranks = 1});
+  team.run([&](Comm& c) {
+    core::merge_chunks(c, data, std::span<const usize>(counts),
+                       core::MergeStrategy::Tournament, identity);
+  });
+  EXPECT_TRUE(data.empty());
 }
 
 TEST(LoserTreeEdge, DuplicateHeadsStable) {
-  std::vector<u64> a{5, 5}, b{5}, c{5, 5, 5};
-  std::vector<std::span<const u64>> runs = {a, b, c};
-  auto less = [](u64 x, u64 y) { return x < y; };
-  core::LoserTree<u64, decltype(less)> tree(runs, less);
-  usize n = 0;
-  while (!tree.empty()) {
-    EXPECT_EQ(tree.pop(), 5u);
-    ++n;
+  // Every head equal: the k-way kernel must emit the runs in run order.
+  struct Tagged {
+    u64 key;
+    u64 run;
+  };
+  const std::vector<Tagged> a{{5, 0}, {5, 0}}, b{{5, 1}},
+      c{{5, 2}, {5, 2}, {5, 2}};
+  const std::vector<std::span<const Tagged>> chunks = {b, c};
+  std::vector<Tagged> out(6);
+  core::kway_merge_into(
+      std::span<Tagged>(out), std::span<const Tagged>(a),
+      std::span<const std::span<const Tagged>>(chunks),
+      [](const Tagged& x, const Tagged& y) { return x.key < y.key; });
+  const std::vector<u64> want_runs{0, 0, 1, 2, 2, 2};
+  for (usize i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].key, 5u);
+    EXPECT_EQ(out[i].run, want_runs[i]) << "position " << i;
   }
-  EXPECT_EQ(n, 6u);
 }
 
 TEST(SortEdgeMore, RepeatSortIsIdempotent) {

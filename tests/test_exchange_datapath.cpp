@@ -261,7 +261,7 @@ TEST(DataPathGrid, OneFactorOverlapMerge) {
 
 TEST(DataPathGrid, MergeStrategiesSeeIdenticalChunks) {
   for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::BinaryTree,
-                          MergeStrategy::Tournament}) {
+                          MergeStrategy::Tournament, MergeStrategy::Auto}) {
     SortConfig cfg;
     cfg.merge = m;
     expect_matches_alltoallv(8, cfg, 400);

@@ -200,7 +200,7 @@ TEST(KAryExchange, PrimePUsesOneWideRound) {
 
 TEST(KAryExchange, WithoutOverlapFeedsSuperstepFourMerge) {
   for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::BinaryTree,
-                          MergeStrategy::Tournament}) {
+                          MergeStrategy::Tournament, MergeStrategy::Auto}) {
     SortConfig cfg;
     cfg.exchange = ExchangeAlgorithm::KAry;
     cfg.exchange_k = 4;

@@ -34,8 +34,9 @@ void random_trial(u64 seed) {
   cfg.epsilon = eps_choices[rng() % 4];
   const core::MergeStrategy merges[] = {core::MergeStrategy::Sort,
                                         core::MergeStrategy::BinaryTree,
-                                        core::MergeStrategy::Tournament};
-  cfg.merge = merges[rng() % 3];
+                                        core::MergeStrategy::Tournament,
+                                        core::MergeStrategy::Auto};
+  cfg.merge = merges[rng() % 4];
   cfg.init = (rng() % 3 == 0) ? core::SplitterInit::Sampled
                               : core::SplitterInit::MinMax;
   cfg.exchange = (rng() % 3 == 0) ? core::ExchangeAlgorithm::OneFactor

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "common/rng.h"
@@ -143,7 +144,62 @@ TEST_P(SortMergeStrategy, AllStrategiesProduceSameResult) {
 INSTANTIATE_TEST_SUITE_P(Strategies, SortMergeStrategy,
                          ::testing::Values(MergeStrategy::Sort,
                                            MergeStrategy::BinaryTree,
-                                           MergeStrategy::Tournament));
+                                           MergeStrategy::Tournament,
+                                           MergeStrategy::Auto));
+
+// The Auto merge either k-way merges or re-sorts; with the radix kernel
+// both are stable, so the whole sort must produce byte for byte the output
+// of the re-sort on every exchange algorithm, rank count and key law.
+TEST(SortMergeAuto, ByteIdenticalToRadixResort) {
+  struct Rec {
+    u64 key;
+    u64 tag;
+  };
+  const auto by_key = [](const Rec& r) { return r.key; };
+  for (const int P : {2, 3, 4, 8, 16}) {
+    for (const auto dist : {workload::Dist::Uniform, workload::Dist::Zipf,
+                            workload::Dist::FewDistinct,
+                            workload::Dist::AllEqual}) {
+      workload::GenConfig gen;
+      gen.dist = dist;
+      gen.seed = 7 + static_cast<u64>(P);
+      std::vector<std::vector<Rec>> shards(P);
+      for (int r = 0; r < P; ++r) {
+        const auto keys = workload::generate_u64(gen, r, P, 700);
+        for (usize i = 0; i < keys.size(); ++i)
+          shards[r].push_back({keys[i], (static_cast<u64>(r) << 32) | i});
+      }
+      for (const auto exch :
+           {ExchangeAlgorithm::Alltoallv, ExchangeAlgorithm::OneFactor,
+            ExchangeAlgorithm::Hierarchical, ExchangeAlgorithm::KAry}) {
+        std::vector<std::vector<Rec>> out[2];
+        for (int side = 0; side < 2; ++side) {
+          SortConfig cfg;
+          cfg.kernel = LocalSortKernel::Radix;
+          cfg.exchange = exch;
+          cfg.merge = side == 0 ? MergeStrategy::Auto : MergeStrategy::Sort;
+          out[side].resize(P);
+          Team team({.nranks = P});
+          team.run([&](Comm& c) {
+            auto local = shards[c.rank()];
+            sort_by_key(c, local, by_key, cfg);
+            out[side][c.rank()] = std::move(local);
+          });
+        }
+        for (int r = 0; r < P; ++r) {
+          const auto& a = out[0][r];
+          const auto& b = out[1][r];
+          ASSERT_EQ(a.size(), b.size()) << "P=" << P << " rank " << r;
+          EXPECT_TRUE(a.empty() ||
+                      std::memcmp(a.data(), b.data(),
+                                  a.size() * sizeof(Rec)) == 0)
+              << "P=" << P << " dist=" << workload::dist_name(dist)
+              << " exchange=" << static_cast<int>(exch) << " rank " << r;
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Key types.
