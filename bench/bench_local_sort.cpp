@@ -1,7 +1,7 @@
 // Local-sort kernel study: real wall-clock comparison of the comparison
 // kernel (std::sort) against the LSD radix kernel (core/radix_sort.h) across
-// the KeyTraits-bisectable key types and a range of sizes, plus a record
-// (key, payload) row exercising the pairs path of radix_sort_by_key.
+// the KeyTraits-bisectable key types and a range of sizes, plus a 16-byte
+// (key, payload) record row, which radix_sort_by_key sorts in place.
 //
 // Unlike the figure benchmarks this measures *real* time, not simulated
 // time: it exists to validate the machine-model constant
@@ -110,8 +110,9 @@ void bench_type(const std::string& type, const std::vector<usize>& sizes,
   }
 }
 
-/// Record row: (u64 key, u64 payload) pairs via radix_sort_by_key — the
-/// pairs path — against std::sort with the same key projection.
+/// Record row: 16-byte (u64 key, u64 payload) records via radix_sort_by_key,
+/// which sorts records of at most 3x the key width in place, against
+/// std::sort with the same key projection.
 void bench_records(const std::vector<usize>& sizes, int reps, u64 seed,
                    Table& table, std::vector<Cell>& cells) {
   struct Rec {

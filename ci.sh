@@ -50,9 +50,9 @@ else
   echo "clang-tidy not installed; skipping (profile: .clang-tidy)"
 fi
 
-# Perf smoke: the radix kernel must beat std::sort on uniform u64 at
-# n = 2^20 on whatever hardware CI runs on — this is the wall-clock claim
-# the Auto crossover is built on. tools/validate_bench.py checks the JSON
+# Perf smoke: the radix kernel must beat std::sort at n = 2^20 on uniform
+# u64 keys and on 16-byte (u64 key, payload) records on whatever hardware CI
+# runs on — these are the wall-clock claims the Auto crossover is built on. tools/validate_bench.py checks the JSON
 # shape and applies the gate; the ledger feeds the perf-history stage below.
 echo "=== perf smoke: bench_local_sort ==="
 (cd build-ci-relwithdebinfo &&

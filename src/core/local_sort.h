@@ -4,7 +4,7 @@
 // phase breakdown see consistent costs.
 //
 // Sorting dispatches over a kernel layer: the comparison kernel (introsort,
-// the seed behaviour) or the LSD radix kernel of radix_sort.h, selected
+// the seed behaviour) or the radix kernel of radix_sort.h, selected
 // explicitly or — under LocalSortKernel::Auto — by a crossover derived from
 // the machine model's calibrated per-element constants. Simulated charges
 // always reflect the kernel that actually ran, so phase breakdowns stay
@@ -26,9 +26,7 @@
 
 namespace hds::core {
 
-/// Identity key projection. A named type (rather than an ad-hoc lambda) so
-/// the kernel dispatch can recognize "the record is the key" and radix-sort
-/// the array directly without materializing (key, value) pairs.
+/// Identity key projection: "the record is the key".
 struct IdentityKey {
   template <class V>
   constexpr const V& operator()(const V& v) const {
@@ -39,7 +37,7 @@ struct IdentityKey {
 /// Which local-sort kernel to run.
 enum class LocalSortKernel : u8 {
   Comparison,  ///< std::sort (introsort) — the seed behaviour
-  Radix,       ///< LSD radix over the KeyTraits projection (radix_sort.h)
+  Radix,       ///< radix over the KeyTraits projection (radix_sort.h)
   Auto,        ///< Radix iff the key is Bisectable and n clears the
                ///< calibrated crossover; Comparison otherwise
 };
@@ -53,8 +51,10 @@ constexpr std::string_view kernel_name(LocalSortKernel k) {
   return "?";
 }
 
-/// Below this n the radix kernel's histogram setup (key_bytes * 256 counters
-/// plus one full read) dominates any pass savings.
+/// Below this n the radix kernel's setup (key_bytes * 256 counters plus the
+/// OR/AND and histogram reads) dominates any pass savings. The kernel's own
+/// size threshold, radix_detail::kMsdMinBytes, picks plain LSD or the MSD
+/// split above this floor.
 inline constexpr usize kRadixMinN = 512;
 
 /// Auto-crossover size for a key of `key_bits` bits, derived from the
@@ -92,13 +92,6 @@ LocalSortKernel resolve_local_sort_kernel(const net::MachineModel& m, usize n,
   }
 }
 
-/// Whether the radix kernel sorts T through materialized (uint key, value)
-/// pairs, which Comm::charge_radix_sort prices one merge pass above the
-/// in-place key path. Only "the record is the key" sorts in place.
-template <class T, class KeyFn>
-inline constexpr bool radix_sorts_pairs =
-    !(std::is_same_v<KeyFn, IdentityKey> && Bisectable<T>);
-
 /// Sort the local partition by a key projection; charged as the shared
 /// memory sort of superstep 1 with the cost of the kernel that ran.
 template <class T, class KeyFn>
@@ -108,13 +101,9 @@ void local_sort(runtime::Comm& comm, std::vector<T>& data, KeyFn key,
   if constexpr (Bisectable<K>) {
     if (resolve_local_sort_kernel<K>(comm.machine(), data.size(), kernel) ==
         LocalSortKernel::Radix) {
-      RadixSortStats st;
-      if constexpr (radix_sorts_pairs<T, KeyFn>) {
-        st = radix_sort_by_key(data, key);
-      } else {
-        st = radix_sort_keys(data);
-      }
-      comm.charge_radix_sort(data.size(), st.passes_executed, st.used_pairs);
+      const RadixSortStats st = radix_sort_by_key(data, key);
+      comm.charge_radix_sort(data.size(), st.passes_executed,
+                             radix_sorts_pairs<T, KeyFn>);
       return;
     }
   }

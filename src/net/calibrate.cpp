@@ -62,9 +62,9 @@ CalibrationResult measure_host_constants(usize elements) {
     if (acc == 0x123456789abcdefULL) cal.scan_s_per_elem += 1e-18;
   }
   {
-    // Radix kernel: full-range u64 keys execute all 8 passes, so the
+    // Radix kernel: full-range u64 keys vary in all 8 bytes, so the
     // per-element-per-pass constant is t / (n * passes) after deducting the
-    // histogram-building read the cost model charges separately as a scan.
+    // key read the cost model charges separately as a scan.
     auto data = base;
     const auto t0 = std::chrono::steady_clock::now();
     const core::RadixSortStats st = core::radix_sort_keys(data);

@@ -256,7 +256,7 @@ double CostModel::sort(usize n) const {
 double CostModel::radix_sort(usize n, usize passes) const {
   const double m = scaled(n);
   return machine_.radix_s_per_elem_pass * m * static_cast<double>(passes) +
-         machine_.scan_s_per_elem * m;  // the one histogram-building read
+         machine_.scan_s_per_elem * m;  // the one OR/AND key read
 }
 
 double CostModel::merge_pass(usize n) const {

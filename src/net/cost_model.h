@@ -114,9 +114,9 @@ class CostModel {
 
   // --- computation costs (seconds), all using scaled element counts --------
   double sort(usize n) const;
-  /// LSD radix sort that executed `passes` scatter passes over n elements
-  /// (skipped trivial-digit passes are not charged) plus the single
-  /// histogram-building read.
+  /// Radix sort of n elements whose keys vary in `passes` bytes, one
+  /// scatter pass each (constant bytes are skipped and not charged), plus
+  /// the single OR/AND key read.
   double radix_sort(usize n, usize passes) const;
   double merge_pass(usize n) const;
   double kway_heap_merge(usize n, usize k) const;

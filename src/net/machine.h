@@ -49,7 +49,7 @@ struct MachineModel {
   // 1M random u64 in ~45 ms, ~35 M elements/s merges).
   double sort_s_per_elem_log = 1.8e-9;    ///< introsort: t = k * n * log2 n
   /// One 8-bit-digit radix scatter pass: t = k * n * passes (plus one
-  /// histogram read charged as a linear scan). Roughly memory-bound, so it
+  /// key read charged as a linear scan). Roughly memory-bound, so it
   /// sits between the scan and merge constants; net/calibrate.cpp measures
   /// it next to the introsort constant, and the Auto kernel crossover
   /// (core/local_sort.h) is derived from the ratio of the two.

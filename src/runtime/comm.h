@@ -155,9 +155,10 @@ class Comm {
   // --- computation charges --------------------------------------------------
   void charge_seconds(double s) { clock().advance(s); }
   void charge_sort(usize n) { clock().advance(cost().sort(n)); }
-  /// Radix kernel: `passes` executed scatter passes; `pairs` adds one
-  /// merge-pass-equivalent for materializing/permuting (key, value) pairs
-  /// on the record path.
+  /// Radix kernel: `passes` non-constant key bytes (byte-digit scatter
+  /// passes); `pairs` adds one merge-pass-equivalent for sorting
+  /// (key, index) pairs and gathering on the large-record path
+  /// (core::radix_sorts_pairs).
   void charge_radix_sort(usize n, usize passes, bool pairs = false) {
     clock().advance(cost().radix_sort(n, passes) +
                     (pairs ? cost().merge_pass(n) : 0.0));

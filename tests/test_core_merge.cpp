@@ -127,6 +127,14 @@ struct Rec {
 struct RecKey {
   u64 operator()(const Rec& r) const { return r.key; }
 };
+struct BigRec {  // wider than 3 keys: the radix kernel sorts (key, index)
+  u64 key;
+  u64 tag;
+  u64 pad[2];
+};
+struct BigRecKey {
+  u64 operator()(const BigRec& r) const { return r.key; }
+};
 
 /// Merge the concatenated runs with `strategy` (radix kernel, so the Sort
 /// fallback is stable too) and require the bytes of std::stable_sort.
@@ -312,8 +320,9 @@ std::pair<double, std::vector<T>> charged_merge(
 
 TEST(MergeAutoDispatch, NeverChargedAboveResort) {
   // Over (n, k, key span), on a single-node and a data-scaled cluster
-  // machine, for the in-place key path and the record pairs path: Auto's
-  // charge never exceeds the re-sort's, and the output is the same.
+  // machine, for keys, in-place 16-byte records and 32-byte records on the
+  // (key, index) pairs path: Auto's charge never exceeds the re-sort's, and
+  // the output is the same.
   runtime::TeamConfig small;
   small.nranks = 1;
   runtime::TeamConfig scaled = small;
@@ -342,6 +351,15 @@ TEST(MergeAutoDispatch, NeverChargedAboveResort) {
           const auto [rec_sort_s, rec_sort_out] = charged_merge(
               tc, recs, counts, MergeStrategy::Sort, RecKey{});
           EXPECT_LE(rec_auto_s, rec_sort_s) << "records n=" << n
+                                            << " k=" << k << " span=" << span;
+
+          std::vector<BigRec> big(keys.size());
+          for (usize i = 0; i < keys.size(); ++i) big[i] = {keys[i], i, {}};
+          const auto [big_auto_s, big_auto_out] = charged_merge(
+              tc, big, counts, MergeStrategy::Auto, BigRecKey{});
+          const auto [big_sort_s, big_sort_out] = charged_merge(
+              tc, big, counts, MergeStrategy::Sort, BigRecKey{});
+          EXPECT_LE(big_auto_s, big_sort_s) << "big records n=" << n
                                             << " k=" << k << " span=" << span;
         }
       }

@@ -1,12 +1,14 @@
-// The local-sort kernel layer: LSD radix sort property tests against
-// std::sort over every KeyTraits type (including IEEE specials), stability,
-// pass-skipping stats, batched binary searches, the Auto crossover, and the
-// kernel x exchange-algorithm grid through the full distributed sort.
+// The local-sort kernel layer: radix sort property tests against std::sort
+// over every KeyTraits type (including IEEE specials) on both sides of the
+// MSD-split threshold, skewed MSD buckets, stability, pass-skipping stats,
+// batched binary searches, the Auto crossover, and the kernel x
+// exchange-algorithm grid through the full distributed sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -131,6 +133,133 @@ TEST(RadixFloatSpecials, Float) { float_specials_case<float>(); }
 TEST(RadixFloatSpecials, Double) { float_specials_case<double>(); }
 
 // ---------------------------------------------------------------------------
+// The MSD split: sizes on both sides of radix_detail::kMsdMinBytes, skewed
+// buckets, every KeyTraits type and stability of in-place records. Every
+// output is compared with a stable sort in KeyTraits uint space, so the
+// placement of -0.0 vs +0.0 and of equal keys is checked exactly.
+// ---------------------------------------------------------------------------
+
+/// Element counts around the MSD threshold for elements of `bytes` bytes:
+/// the largest plain-LSD size, the smallest split size, and a larger one.
+std::vector<usize> threshold_sizes(usize bytes) {
+  const usize edge = radix_detail::kMsdMinBytes / bytes;
+  return {edge, edge + 1, 3 * edge + 7};
+}
+
+template <class T>
+void expect_matches_stable_sort(std::vector<T> data) {
+  auto uk = [](T v) { return KeyTraits<T>::to_uint(v); };
+  std::vector<T> expected = data;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](T a, T b) { return uk(a) < uk(b); });
+  radix_sort_keys(data);
+  ASSERT_EQ(data.size(), expected.size());
+  EXPECT_EQ(std::memcmp(data.data(), expected.data(), data.size() * sizeof(T)),
+            0);
+}
+
+template <class T>
+T spread_key(Xoshiro256& rng) {
+  if constexpr (std::is_floating_point_v<T>) {
+    using Lim = std::numeric_limits<T>;
+    switch (rng() % 16) {
+      case 0: return T{0.0};
+      case 1: return -T{0.0};
+      case 2: return Lim::infinity();
+      case 3: return -Lim::infinity();
+      default: return static_cast<T>((rng.uniform01() - 0.5) * 1e6);
+    }
+  } else {
+    return static_cast<T>(rng());
+  }
+}
+
+template <class T>
+class RadixMsdTyped : public ::testing::Test {};
+
+using AllKeyTypes =
+    ::testing::Types<u8, u16, u32, u64, i8, i16, i32, i64, float, double>;
+TYPED_TEST_SUITE(RadixMsdTyped, AllKeyTypes);
+
+TYPED_TEST(RadixMsdTyped, BothSidesOfThreshold) {
+  Xoshiro256 rng(77);
+  for (const usize n : threshold_sizes(sizeof(TypeParam))) {
+    std::vector<TypeParam> data(n);
+    for (auto& v : data) v = spread_key<TypeParam>(rng);
+    expect_matches_stable_sort(std::move(data));
+  }
+}
+
+TYPED_TEST(RadixMsdTyped, AllEqualAboveThreshold) {
+  const usize n = threshold_sizes(sizeof(TypeParam)).back();
+  Xoshiro256 rng(78);
+  std::vector<TypeParam> data(n, spread_key<TypeParam>(rng));
+  const std::vector<TypeParam> before = data;
+  const RadixSortStats st = radix_sort_keys(data);
+  EXPECT_EQ(st.passes_executed, 0u);
+  EXPECT_EQ(std::memcmp(data.data(), before.data(), n * sizeof(TypeParam)),
+            0);
+}
+
+TEST(RadixMsd, OneOutlierPutsAllButOneKeyInBucketZero) {
+  // The outlier sets the top varying bit, so every other key lands in MSD
+  // bucket 0, which is then as large as the whole array.
+  Xoshiro256 rng(79);
+  for (const usize n : threshold_sizes(sizeof(u64))) {
+    std::vector<u64> data(n);
+    for (auto& v : data) v = rng() & 0xfffff;
+    data[n / 3] = u64{1} << 40;
+    expect_matches_stable_sort(std::move(data));
+  }
+}
+
+TEST(RadixMsd, OnlyTopVaryingBitDiffers) {
+  // Two key values that differ in one bit: two non-empty MSD buckets and no
+  // varying digit below them.
+  Xoshiro256 rng(80);
+  for (const usize n : threshold_sizes(sizeof(u64))) {
+    std::vector<u64> data(n);
+    for (auto& v : data) v = 0x5a5a'0000'0000'0005 | ((rng() & 1) << 37);
+    const std::vector<u64> copy = data;
+    expect_matches_stable_sort(std::move(data));
+    std::vector<u64> again = copy;
+    EXPECT_EQ(radix_sort_keys(again).passes_executed, 1u);
+  }
+  // Keys spread below the top bit as well: the top bit alone splits the
+  // array into MSD buckets 0 and 128.
+  for (const usize n : threshold_sizes(sizeof(u64))) {
+    std::vector<u64> data(n);
+    for (auto& v : data) v = ((rng() & 1) << 45) | (rng() & 0xffff);
+    expect_matches_stable_sort(std::move(data));
+  }
+}
+
+TEST(RadixMsd, SixteenByteRecordsStableBothSides) {
+  struct Rec {
+    u64 key;
+    u64 seq;
+  };
+  static_assert(sizeof(Rec) == 16);
+  Xoshiro256 rng(81);
+  for (const usize n : threshold_sizes(sizeof(Rec))) {
+    for (const u64 mask : {u64{0x3ff}, ~u64{0}}) {  // duplicates / distinct
+      std::vector<Rec> data(n);
+      for (usize i = 0; i < n; ++i) data[i] = Rec{rng() & mask, i};
+      std::vector<Rec> expected = data;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const Rec& a, const Rec& b) { return a.key < b.key; });
+      const RadixSortStats st =
+          radix_sort_by_key(data, [](const Rec& r) { return r.key; });
+      EXPECT_FALSE(st.used_pairs);
+      ASSERT_EQ(data.size(), expected.size());
+      EXPECT_EQ(
+          std::memcmp(data.data(), expected.data(), n * sizeof(Rec)), 0)
+          << "n=" << n << " mask=" << mask;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Stats: trivial passes are skipped without touching the data.
 // ---------------------------------------------------------------------------
 
@@ -144,6 +273,42 @@ TEST(RadixStats, NarrowRangeSkipsHighPasses) {
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
 }
 
+TEST(RadixStats, PassesMatchPerByteHistogramRule) {
+  // passes_executed must count exactly the bytes whose digit is not the
+  // same for every element: the rule the per-byte histograms implemented
+  // (a pass is skipped iff one bucket holds all n elements).
+  auto histogram_rule = [](const std::vector<u64>& v) {
+    usize passes = 0;
+    for (unsigned s = 0; s < 64; s += 8) {
+      std::vector<usize> h(256, 0);
+      for (u64 k : v) ++h[(k >> s) & 0xff];
+      if (std::none_of(h.begin(), h.end(),
+                       [&](usize c) { return c == v.size(); }))
+        ++passes;
+    }
+    return passes;
+  };
+  const usize big = 2 * radix_detail::kMsdMinBytes / sizeof(u64) + 5;
+  Xoshiro256 rng(8);
+  for (const usize n : {usize{2}, usize{3}, usize{700}, big}) {
+    for (const u64 mask : {u64{1}, u64{0xff}, u64{0x100}, u64{0xff00ff},
+                           u64{0x3fffffff}, u64{1} << 63,
+                           u64{0xf0000000000000f0}, ~u64{0}}) {
+      for (const u64 base : {u64{0}, u64{0x0123456789abcdef}}) {
+        std::vector<u64> data(n);
+        for (auto& v : data) v = base ^ (rng() & mask);
+        const usize want = histogram_rule(data);
+        std::vector<u64> expected = data;
+        std::sort(expected.begin(), expected.end());
+        const RadixSortStats st = radix_sort_keys(data);
+        EXPECT_EQ(st.passes_executed, want)
+            << "n=" << n << " mask=" << mask << " base=" << base;
+        EXPECT_EQ(data, expected) << "n=" << n << " mask=" << mask;
+      }
+    }
+  }
+}
+
 TEST(RadixStats, FullRangeRunsAllPasses) {
   Xoshiro256 rng(6);
   std::vector<u64> data(4096);
@@ -154,11 +319,11 @@ TEST(RadixStats, FullRangeRunsAllPasses) {
 }
 
 // ---------------------------------------------------------------------------
-// Stability of radix_sort_by_key (both the pairs and the index path).
+// Stability of radix_sort_by_key (both the in-place and the index path).
 // ---------------------------------------------------------------------------
 
 TEST(RadixByKey, PairsPathIsStable) {
-  struct Rec {  // sizeof == 8 <= 3 * sizeof(u32): pairs path
+  struct Rec {  // sizeof == 8 <= 3 * sizeof(u32): sorted in place
     u32 key;
     u32 seq;
   };
@@ -171,7 +336,7 @@ TEST(RadixByKey, PairsPathIsStable) {
                    [](const Rec& a, const Rec& b) { return a.key < b.key; });
   const RadixSortStats st =
       radix_sort_by_key(data, [](const Rec& r) { return r.key; });
-  EXPECT_TRUE(st.used_pairs);
+  EXPECT_FALSE(st.used_pairs);  // small records sort in place
   ASSERT_EQ(data.size(), expected.size());
   for (usize i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i].key, expected[i].key);
@@ -192,7 +357,9 @@ TEST(RadixByKey, IndexPathIsStableForLargeRecords) {
   std::vector<Big> expected = data;
   std::stable_sort(expected.begin(), expected.end(),
                    [](const Big& a, const Big& b) { return a.key < b.key; });
-  radix_sort_by_key(data, [](const Big& r) { return r.key; });
+  const RadixSortStats st =
+      radix_sort_by_key(data, [](const Big& r) { return r.key; });
+  EXPECT_TRUE(st.used_pairs);
   for (usize i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i].key, expected[i].key);
     EXPECT_EQ(data[i].seq, expected[i].seq) << "instability at " << i;
@@ -411,7 +578,7 @@ INSTANTIATE_TEST_SUITE_P(
     grid_name);
 
 // ---------------------------------------------------------------------------
-// sort_by_key exercises the pairs path end to end when Radix is forced.
+// sort_by_key exercises the record path end to end when Radix is forced.
 // ---------------------------------------------------------------------------
 
 TEST(KernelDispatch, SortByKeyRadixEndToEnd) {
