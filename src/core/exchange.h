@@ -134,13 +134,17 @@ inline void note_exchange_metrics(runtime::Comm& comm,
 /// output is sized once from the published counts and every chunk lands at
 /// its final offset in one copy, straight out of the sender's buffer
 /// (alltoallv_into). `sorted_local` must be the locally sorted input used
-/// by find_splitters.
+/// by find_splitters. Every exchange variant builds its output in `dst`,
+/// whose contents are discarded and whose capacity is reused (superstep 3
+/// passes the rank's spare buffer); `dst` must not hold `sorted_local`.
 template <class T, class UK>
 ExchangeResult<T> exchange(runtime::Comm& comm,
                            std::span<const T> sorted_local,
-                           const SplitterResult<UK>& sp) {
+                           const SplitterResult<UK>& sp,
+                           std::vector<T> dst = {}) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   ExchangeResult<T> out;
+  out.data = std::move(dst);
   const std::vector<usize> send =
       compute_send_counts(comm, sorted_local.size(), sp);
   out.elements_kept = send[comm.rank()];
@@ -164,12 +168,14 @@ ExchangeResult<T> exchange(runtime::Comm& comm,
 template <class T, class UK>
 ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
                                         std::span<const T> sorted_local,
-                                        const SplitterResult<UK>& sp) {
+                                        const SplitterResult<UK>& sp,
+                                        std::vector<T> dst = {}) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   const int P = comm.size();
   const auto& machine = comm.machine();
 
   ExchangeResult<T> out;
+  out.data = std::move(dst);
   const std::vector<usize> send =
       compute_send_counts(comm, sorted_local.size(), sp);
   std::vector<usize> offsets(P + 1, 0);
@@ -447,7 +453,8 @@ template <class T, class UK, class KeyFn>
 ExchangeResult<T> exchange_kary(
     runtime::Comm& comm, std::span<const T> sorted_local,
     const SplitterResult<UK>& sp, KeyFn key, int k, bool overlap_merge,
-    std::vector<KAryRoundTrace>* round_trace = nullptr) {
+    std::vector<KAryRoundTrace>* round_trace = nullptr,
+    std::vector<T> dst = {}) {
   if (k < 2)
     throw argument_error("exchange_kary: k must be >= 2 (got " +
                          std::to_string(k) + ")");
@@ -482,7 +489,8 @@ ExchangeResult<T> exchange_kary(
   for (int d = 0; d < P; ++d)
     if (send[d] != 0 && (d != me || !overlap_merge))
       bucket[d].push_back(sorted_local.subspan(offsets[d], send[d]));
-  std::vector<T> acc;
+  std::vector<T> acc = std::move(dst);
+  acc.clear();
   std::vector<std::span<const T>> pending;  // final-destination arrivals
   std::vector<std::unique_ptr<T[]>> arrivals;  // keep-alive arrival buffers
   // The rank's own kept slice stays in sorted_local until the first drain
@@ -649,6 +657,7 @@ ExchangeResult<T> exchange_kary(
   } else {
     usize mine = 0;
     for (const auto& run : bucket[me]) mine += run.size();
+    out.data = std::move(acc);
     out.data.reserve(mine);
     for (const auto& run : bucket[me]) {
       out.data.insert(out.data.end(), run.begin(), run.end());
@@ -685,7 +694,8 @@ template <class T, class UK, class KeyFn>
 ExchangeResult<T> exchange_one_factor(runtime::Comm& comm,
                                       std::span<const T> sorted_local,
                                       const SplitterResult<UK>& sp,
-                                      KeyFn key, bool overlap_merge) {
+                                      KeyFn key, bool overlap_merge,
+                                      std::vector<T> dst = {}) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
   const int P = comm.size();
   ExchangeResult<T> out;
@@ -697,8 +707,9 @@ ExchangeResult<T> exchange_one_factor(runtime::Comm& comm,
   note_exchange_metrics(comm, send, sizeof(T));
 
   auto less = [&](const T& a, const T& b) { return key(a) < key(b); };
-  std::vector<T> acc(sorted_local.begin() + offsets[comm.rank()],
-                     sorted_local.begin() + offsets[comm.rank() + 1]);
+  std::vector<T> acc = std::move(dst);
+  acc.assign(sorted_local.begin() + offsets[comm.rank()],
+             sorted_local.begin() + offsets[comm.rank() + 1]);
   std::vector<usize> counts{acc.size()};
 
   const int rounds = (P % 2 == 0) ? P - 1 : P;

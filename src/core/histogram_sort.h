@@ -158,29 +158,38 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
 }
 
 /// Superstep 3 (SplittersReady -> Exchanged): permutation matrix + data
-/// exchange. st.data becomes the received chunk concatenation.
+/// exchange. st.data becomes the received chunk concatenation, built in
+/// the rank's spare buffer (Comm::spare); the consumed input becomes the
+/// new spare.
 template <class T, class UK, class KeyFn>
 void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
                         KeyFn key, const SortConfig& cfg) {
   const std::span<const T> sorted_view(st.data.data(), st.data.size());
+  std::vector<T>& spare = comm.spare<T>();
   ExchangeResult<T> ex;
   switch (cfg.exchange) {
     case ExchangeAlgorithm::OneFactor:
       ex = exchange_one_factor(comm, sorted_view, st.splitters, key,
-                               cfg.overlap_merge);
+                               cfg.overlap_merge, std::move(spare));
       break;
     case ExchangeAlgorithm::Hierarchical:
-      ex = exchange_hierarchical(comm, sorted_view, st.splitters);
+      ex = exchange_hierarchical(comm, sorted_view, st.splitters,
+                                 std::move(spare));
       break;
     case ExchangeAlgorithm::KAry:
       ex = exchange_kary(comm, sorted_view, st.splitters, key,
-                         cfg.exchange_k, cfg.overlap_merge);
+                         cfg.exchange_k, cfg.overlap_merge, nullptr,
+                         std::move(spare));
       break;
     case ExchangeAlgorithm::Alltoallv:
-      ex = exchange(comm, sorted_view, st.splitters);
+      ex = exchange(comm, sorted_view, st.splitters, std::move(spare));
       break;
   }
   st.stats.elements_sent_off_rank = ex.elements_sent_off_rank;
+  // The exchange has returned, so every pull out of the input and every
+  // BorrowToken loan of it is complete: the input buffer is free to be the
+  // spare. (Were the exchange to throw, the spare would simply be empty.)
+  spare = std::move(st.data);
   st.data = std::move(ex.data);
   st.recv_counts = std::move(ex.recv_counts);
 }

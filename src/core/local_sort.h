@@ -93,7 +93,9 @@ LocalSortKernel resolve_local_sort_kernel(const net::MachineModel& m, usize n,
 }
 
 /// Sort the local partition by a key projection; charged as the shared
-/// memory sort of superstep 1 with the cost of the kernel that ran.
+/// memory sort of superstep 1 with the cost of the kernel that ran. The
+/// radix kernel's scratch is the rank's spare buffer (Comm::spare), so a
+/// warm rank sorts without allocating; `data` must not be that buffer.
 template <class T, class KeyFn>
 void local_sort(runtime::Comm& comm, std::vector<T>& data, KeyFn key,
                 LocalSortKernel kernel = LocalSortKernel::Auto) {
@@ -101,7 +103,9 @@ void local_sort(runtime::Comm& comm, std::vector<T>& data, KeyFn key,
   if constexpr (Bisectable<K>) {
     if (resolve_local_sort_kernel<K>(comm.machine(), data.size(), kernel) ==
         LocalSortKernel::Radix) {
-      const RadixSortStats st = radix_sort_by_key(data, key);
+      std::vector<T>& spare = comm.spare<T>(data.size());
+      HDS_CHECK(&spare != &data);
+      const RadixSortStats st = radix_sort_by_key(data, key, &spare);
       comm.charge_radix_sort(data.size(), st.passes_executed,
                              radix_sorts_pairs<T, KeyFn>);
       return;

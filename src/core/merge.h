@@ -31,18 +31,17 @@ namespace hds::core {
 namespace detail {
 
 /// View of the rank's pooled byte arena (Comm::scratch_arena) as `n`
-/// elements of T. The arena is grown once and then reused across merge
-/// passes, exchange rounds and sort calls, replacing the per-call staging
-/// allocations the merge strategies used to make. T must be trivially
-/// copyable (the same constraint the wire format imposes) because the bytes
-/// are reinterpreted without constructing objects. The returned span is
+/// elements of T. The arena is grown on demand and then reused across
+/// merge passes and sort calls, replacing the per-call staging allocations
+/// the merge strategies used to make. T must be trivially copyable (the
+/// same constraint the wire format imposes) because the bytes are
+/// reinterpreted without constructing objects. The returned span is
 /// invalidated by the next pooled_scratch call on the same rank.
 template <class T>
 std::span<T> pooled_scratch(runtime::Comm& comm, usize n) {
   static_assert(std::is_trivially_copyable_v<T>);
-  auto& arena = comm.scratch_arena();
-  const usize bytes = n * sizeof(T) + alignof(T);
-  if (arena.size() < bytes) arena.resize(bytes);
+  const std::span<std::byte> arena =
+      comm.scratch_arena(n * sizeof(T) + alignof(T));
   void* p = arena.data();
   usize space = arena.size();
   p = std::align(alignof(T), n * sizeof(T), p, space);
@@ -220,9 +219,9 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
     }
     case MergeStrategy::Tournament: {
       // The first run is the base of the two-segment loser-tree kernel and
-      // the others are its chunks. The output is a transient vector swapped
-      // into `data`, not the pooled arena: a full-size pooled buffer would
-      // stay resident on every rank after the sort returns.
+      // the others are its chunks. The output is the rank's spare buffer
+      // (Comm::spare), swapped into `data`, so the runs' buffer becomes the
+      // spare and a warm rank merges without allocating.
       std::vector<std::span<const T>> runs;
       usize off = 0;
       for (usize c : counts) {
@@ -230,7 +229,8 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
           runs.emplace_back(std::span<const T>(data.data() + off, c));
         off += c;
       }
-      std::vector<T> out(n);
+      std::vector<T>& out = comm.spare<T>(n);
+      HDS_CHECK(&out != &data);
       kway_merge_into(std::span<T>(out), runs.front(),
                       std::span<const std::span<const T>>(runs).subspan(1),
                       less);

@@ -19,9 +19,10 @@
 //    routine (the MSD split only adds bookkeeping there);
 //  * 8-bit digits; every LSD digit histogram of a range is built in one
 //    read of it, and a digit constant over the range is skipped;
-//  * the scratch buffer is allocated per call without zero-fill (the
-//    scatter overwrites it) and freed on return, so it adds nothing to a
-//    rank's resident memory between sorts;
+//  * the scratch buffer is the caller's when it passes one (local_sort
+//    passes the rank's recycled spare buffer, Comm::spare, so a warm rank
+//    sorts without allocating); otherwise it is allocated per call
+//    without zero-fill (the scatter overwrites it) and freed on return;
 //  * stable throughout (counting sort per digit), so payload order among
 //    equal keys is preserved — unlike introsort.
 //
@@ -133,9 +134,12 @@ E* lsd_passes(E* a, E* b, usize n, std::span<const unsigned> shifts,
 
 /// Radix sort of `data` by an unsigned key projection `key_of`, called a
 /// bounded number of times per element (once per read or scatter of it).
-/// Stable. The result is in `data`; extra memory is one n-element scratch.
+/// Stable. The result is in `data`; extra memory is one n-element scratch:
+/// the caller's `scratch` (its first n elements, contents overwritten)
+/// when it holds at least n elements, else a buffer allocated for the call.
 template <class E, class KeyOf>
-RadixSortStats radix_sort_impl(std::span<E> data, KeyOf key_of) {
+RadixSortStats radix_sort_impl(std::span<E> data, KeyOf key_of,
+                               std::span<E> scratch = {}) {
   using UK = std::decay_t<decltype(key_of(std::declval<const E&>()))>;
   static_assert(std::is_unsigned_v<UK>,
                 "radix sort operates on the KeyTraits uint projection");
@@ -159,9 +163,13 @@ RadixSortStats radix_sort_impl(std::span<E> data, KeyOf key_of) {
   st.passes_executed = nd;
   if (nd == 0) return st;
 
-  const auto scratch = std::make_unique_for_overwrite<E[]>(n);
+  std::unique_ptr<E[]> owned;
+  if (scratch.size() < n) {
+    owned = std::make_unique_for_overwrite<E[]>(n);
+    scratch = std::span<E>(owned.get(), n);
+  }
   E* const a = data.data();
-  E* const b = scratch.get();
+  E* const b = scratch.data();
   const auto top = static_cast<unsigned>(std::bit_width(varying));
   if (n * sizeof(E) <= kMsdMinBytes || top <= kDigitBits) {
     if (lsd_passes(a, b, n, std::span<const unsigned>(shifts.data(), nd),
@@ -213,15 +221,21 @@ RadixSortStats radix_sort_keys(std::vector<T>& keys) {
 /// 3x the key width are sorted in place, evaluating the projection once
 /// per pass; larger records are sorted as (uint key, index) pairs, with the
 /// projection evaluated once per element, and gathered once at the end.
+/// A caller's `spare` of exactly data.size() elements (contents
+/// overwritten) is the in-place path's scratch, and on the pairs path the
+/// gather target, swapped with `data`; without one the kernel allocates.
 template <class T, class KeyFn>
-RadixSortStats radix_sort_by_key(std::vector<T>& data, KeyFn key) {
+RadixSortStats radix_sort_by_key(std::vector<T>& data, KeyFn key,
+                                 std::vector<T>* spare = nullptr) {
   using K = std::decay_t<decltype(key(std::declval<T>()))>;
   using Traits = KeyTraits<K>;
   using UK = typename Traits::uint_type;
+  const bool use_spare = spare != nullptr && spare->size() == data.size();
   if constexpr (!radix_sorts_pairs<T, KeyFn>) {
     return radix_detail::radix_sort_impl(
         std::span<T>(data),
-        [&key](const T& v) { return Traits::to_uint(key(v)); });
+        [&key](const T& v) { return Traits::to_uint(key(v)); },
+        use_spare ? std::span<T>(*spare) : std::span<T>());
   } else {
     struct Ref {
       UK k;
@@ -234,10 +248,15 @@ RadixSortStats radix_sort_by_key(std::vector<T>& data, KeyFn key) {
       refs.push_back(Ref{Traits::to_uint(key(data[i])), i});
     RadixSortStats st = radix_detail::radix_sort_impl(
         std::span<Ref>(refs), [](const Ref& r) { return r.k; });
-    std::vector<T> out;
-    out.reserve(n);
-    for (const Ref& r : refs) out.push_back(std::move(data[r.i]));
-    data = std::move(out);
+    if (use_spare) {
+      for (usize i = 0; i < n; ++i) (*spare)[i] = std::move(data[refs[i].i]);
+      data.swap(*spare);
+    } else {
+      std::vector<T> out;
+      out.reserve(n);
+      for (const Ref& r : refs) out.push_back(std::move(data[r.i]));
+      data = std::move(out);
+    }
     st.used_pairs = true;
     return st;
   }

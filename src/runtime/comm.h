@@ -21,6 +21,7 @@
 // (collective_pull), so the payload is touched once and never staged.
 #pragma once
 
+#include <any>
 #include <cmath>
 #include <cstring>
 #include <exception>
@@ -51,6 +52,16 @@ using OpId = obs::OpKind;
 
 constexpr std::string_view op_name(OpId op) { return obs::op_kind_name(op); }
 }  // namespace detail
+
+/// Size `v` to exactly `n` elements that the caller is about to overwrite.
+/// A vector whose capacity is short is released before it grows, so the
+/// reallocation copies none of the old elements; within capacity only the
+/// elements past the old size are value-initialized.
+template <class T>
+void resize_for_overwrite(std::vector<T>& v, usize n) {
+  if (v.capacity() < n) std::vector<T>().swap(v);
+  v.resize(n);
+}
 
 /// Loan handle from Comm::send_borrowed: the sender's buffer stays live
 /// until the receiver has copied it out. wait() blocks until the loan is
@@ -143,13 +154,36 @@ class Comm {
   /// nullptr otherwise. Distributed containers report their one-sided
   /// accesses through this (see runtime/global_vector.h).
   check::RaceDetector* checker() const { return team_->race_detector(); }
-  /// This rank's pooled scratch arena: raw bytes reused across merge passes
-  /// and exchange rounds instead of per-call staging allocations. Touched
+  /// This rank's pooled scratch arena as `n` raw bytes, reused across merge
+  /// passes and sort calls instead of per-call staging allocations. Touched
   /// only by the owning rank's thread; contents are unspecified between
-  /// uses (callers size and overwrite it). Never holds live data across a
-  /// communication op the caller does not control.
-  std::vector<std::byte>& scratch_arena() {
-    return team_->scratch_[static_cast<usize>(world_rank())];
+  /// uses (callers overwrite them), and the span is invalidated by the next
+  /// call. Never holds live data across a communication op the caller does
+  /// not control.
+  std::span<std::byte> scratch_arena(usize n) {
+    return team_->scratch_[static_cast<usize>(world_rank())].bytes(n);
+  }
+
+  /// This rank's spare element buffer: one std::vector<T> owned by the
+  /// Team, so its allocation outlives Team::run and is recycled by every
+  /// sort on the Team (a slot last used for another element type is
+  /// replaced by an empty vector). Touched only by the owning rank's
+  /// thread; its contents are unspecified between uses. Callers may swap
+  /// buffers with it, but must not hand it to a communication op that can
+  /// still read it after the op returns.
+  template <class T>
+  std::vector<T>& spare() {
+    std::any& slot = team_->spare_[static_cast<usize>(world_rank())];
+    if (auto* v = std::any_cast<std::vector<T>>(&slot)) return *v;
+    return slot.emplace<std::vector<T>>();
+  }
+
+  /// The spare buffer sized to exactly `n` elements (resize_for_overwrite).
+  template <class T>
+  std::vector<T>& spare(usize n) {
+    std::vector<T>& v = spare<T>();
+    resize_for_overwrite(v, n);
+    return v;
   }
 
   // --- computation charges --------------------------------------------------
@@ -484,9 +518,11 @@ class Comm {
         recv_counts, traffic);
   }
 
-  /// Overload that sizes `dst` itself: resized exactly once to the incoming
-  /// total (from the published counts), then filled in place. `dst` must
-  /// not alias `data`.
+  /// Overload that sizes `dst` itself: its previous contents are discarded
+  /// and it is sized exactly once to the incoming total (from the published
+  /// counts, resize_for_overwrite), then filled in place, so a recycled
+  /// `dst` of sufficient capacity costs no allocation. `dst` must not alias
+  /// `data`.
   template <class T>
   void alltoallv_into(std::span<const T> data,
                       std::span<const usize> send_counts, std::vector<T>& dst,
@@ -495,7 +531,7 @@ class Comm {
     alltoallv_pull<T>(
         data, send_counts,
         [&](usize total, const std::vector<usize>&) {
-          dst.resize(total);
+          resize_for_overwrite(dst, total);
           return dst.data();
         },
         recv_counts, traffic);

@@ -60,6 +60,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg) {
     tracers_.push_back(std::make_unique<obs::RankTracer>(cfg_.trace_ring));
   metrics_.resize(static_cast<usize>(cfg_.nranks));
   scratch_.resize(static_cast<usize>(cfg_.nranks));
+  spare_.resize(static_cast<usize>(cfg_.nranks));
   if (cfg_.check.enabled)
     detector_ = std::make_unique<check::RaceDetector>(cfg_.check);
 }

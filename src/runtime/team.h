@@ -6,12 +6,14 @@
 // cluster-scale timing shapes.
 #pragma once
 
+#include <any>
 #include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,26 @@ class ArenaBuffer {
   std::unique_ptr<std::byte[]> buf_;
   usize cap_ = 0;
   usize len_ = 0;
+};
+
+/// One rank's pooled scratch bytes (Comm::scratch_arena). A growing
+/// request reallocates to exactly the requested size, without copying or
+/// zero-filling: the contents are unspecified between uses, so nothing
+/// needs carrying over.
+class ScratchArena {
+ public:
+  std::span<std::byte> bytes(usize n) {
+    if (n > cap_) {
+      buf_.reset();  // never hold the old and the new block at once
+      buf_ = std::make_unique_for_overwrite<std::byte[]>(n);
+      cap_ = n;
+    }
+    return {buf_.get(), n};
+  }
+
+ private:
+  std::unique_ptr<std::byte[]> buf_;
+  usize cap_ = 0;
 };
 
 /// Double-buffered collective arena (one per parity) — two barriers per
@@ -373,10 +395,15 @@ class Team {
   std::vector<std::unique_ptr<obs::RankTracer>> tracers_;  ///< one per rank
   std::vector<obs::Metrics> metrics_;                      ///< one per rank
   /// Per-rank pooled scratch arenas (Comm::scratch_arena): raw bytes reused
-  /// across merge passes, exchange rounds and sort calls instead of
-  /// per-call staging allocations. Each arena is touched only by its own
-  /// rank's thread, so no locking is involved.
-  std::vector<std::vector<std::byte>> scratch_;
+  /// across merge passes and sort calls instead of per-call staging
+  /// allocations. Each arena is touched only by its own rank's thread, so
+  /// no locking is involved.
+  std::vector<detail::ScratchArena> scratch_;
+  /// Per-rank spare element buffers (Comm::spare): each slot holds one
+  /// std::vector<T> of the element type its rank last asked for, recycled
+  /// across supersteps, runs and sorts and released with the Team. Same
+  /// single-thread ownership as scratch_.
+  std::vector<std::any> spare_;
   std::unique_ptr<obs::TraceReport> trace_report_;
   std::unique_ptr<check::RaceDetector> detector_;  ///< null unless checking
 
