@@ -3,11 +3,16 @@
 //
 //  * Sort        — re-sort the concatenation with a fast shared-memory sort
 //                  (what the paper's evaluated implementation does);
-//  * BinaryTree  — out-of-place pairwise merge tree, O(n log k), each element
-//                  moves log k times;
-//  * Tournament  — stable k-way loser-tree merge (kway_merge_into in
-//                  merge_inplace.h), O(n log k) comparisons but each
-//                  element moves once;
+//  * BinaryTree  — pairwise merge tree, O(n log k), charged one pass over
+//                  every element per level: two runs merge in place, more
+//                  go through kway_merge_into, whose segments are merged by
+//                  exactly such a tree;
+//  * Tournament  — the stable k-way merge kernel (kway_merge_into in
+//                  merge_inplace.h): the runs cut at exact output ranks into
+//                  cache-sized segments, each merged by a tree of branch-free
+//                  2-way merges, four segments stepped in lockstep; O(n log k)
+//                  comparisons, charged as the k-way loser-tree merge of the
+//                  cost model (CostModel::kway_heap_merge);
 //  * Auto        — per call, whichever of Tournament and Sort the cost model
 //                  prices cheaper: the k-way merge at small fan-in, the
 //                  re-sort once the run heads fall out of cache (Sec. VI-E2).
@@ -126,6 +131,39 @@ MergeStrategy resolve_merge_strategy(const net::CostModel& cost,
              : MergeStrategy::Sort;
 }
 
+namespace detail {
+
+/// The non-empty runs concatenated in `data`, lengths in `counts`.
+template <class T>
+std::vector<std::span<const T>> split_runs(const std::vector<T>& data,
+                                           std::span<const usize> counts) {
+  std::vector<std::span<const T>> runs;
+  usize off = 0;
+  for (usize c : counts) {
+    if (c > 0) runs.emplace_back(data.data() + off, c);
+    off += c;
+  }
+  return runs;
+}
+
+/// kway_merge_into of `runs` (views into `data`). The output is the
+/// rank's spare buffer (Comm::spare), swapped into `data`, so the runs'
+/// buffer becomes the spare and a warm rank merges without allocating.
+/// Returns the comparisons made.
+template <class T, class Less>
+u64 merge_runs_into_spare(runtime::Comm& comm, std::vector<T>& data,
+                          std::span<const std::span<const T>> runs,
+                          Less less) {
+  std::vector<T>& out = comm.spare<T>(data.size());
+  HDS_CHECK(&out != &data);
+  const u64 comparisons =
+      kway_merge_into(std::span<T>(out), runs.front(), runs.subspan(1), less);
+  data.swap(out);
+  return comparisons;
+}
+
+}  // namespace detail
+
 /// Merge `k` sorted runs (concatenated in `data`, lengths in `counts`) into
 /// a single sorted sequence, charging simulated time per strategy. The Sort
 /// strategy re-sorts through the local-sort kernel layer, so `kernel`
@@ -140,11 +178,13 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
   const usize n = data.size();
   // Comparator invocations feed the MergeComparisons counter for the
   // comparison-based strategies; the Sort strategy's radix path does no
-  // comparisons, so it emits nothing.
+  // comparisons, so it emits nothing. The k-way kernel counts its own, so
+  // its hot loop gets a comparator without a side effect.
+  auto by_key = [&key](const T& a, const T& b) { return key(a) < key(b); };
   u64 comparisons = 0;
   auto less = [&](const T& a, const T& b) {
     ++comparisons;
-    return key(a) < key(b);
+    return by_key(a, b);
   };
 
   usize nonempty = 0;
@@ -160,24 +200,18 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
       return;
     }
     case MergeStrategy::BinaryTree: {
-      // Out-of-place pairwise merge levels; each level halves the number of
-      // runs and touches every element once.
-      std::vector<std::pair<usize, usize>> runs;  // (offset, length)
-      usize off = 0;
-      for (usize c : counts) {
-        if (c > 0) runs.emplace_back(off, c);
-        off += c;
-      }
-      if (runs.size() == 2 && runs[0].first == 0 &&
-          runs[1].first == runs[0].second &&
-          runs[0].second + runs[1].second == n) {
+      // Pairwise merge levels; each level halves the number of runs and
+      // is charged one pass over every element.
+      const std::vector<std::span<const T>> runs =
+          detail::split_runs(data, counts);
+      if (runs.size() == 2) {
         // Two adjacent runs spanning the buffer — the shape every pull-path
         // exchange produces at P=2 and the one-factor overlap path feeds.
         // Merge in place: only the second run is staged (pooled scratch of
-        // l2 elements, not a full-size ping-pong buffer), then a backward
-        // merge places everything at its final offset.
-        const usize l1 = runs[0].second;
-        const usize l2 = runs[1].second;
+        // l2 elements, not a full-size buffer), then a backward merge
+        // places everything at its final offset.
+        const usize l1 = runs[0].size();
+        const usize l2 = runs[1].size();
         std::span<T> scratch = detail::pooled_scratch<T>(comm, l2);
         std::copy(data.begin() + l1, data.end(), scratch.begin());
         merge_tail_inplace(std::span<T>(data), l1,
@@ -186,55 +220,19 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
         comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
         return;
       }
-      // Ping-pong between `data` and the pooled arena — no per-call
-      // full-size buffer allocation.
-      std::span<T> src(data.data(), n);
-      std::span<T> dst = detail::pooled_scratch<T>(comm, n);
-      while (runs.size() > 1) {
-        std::vector<std::pair<usize, usize>> next;
-        usize out_off = 0;
-        for (usize i = 0; i + 1 < runs.size(); i += 2) {
-          const auto [o1, l1] = runs[i];
-          const auto [o2, l2] = runs[i + 1];
-          std::merge(src.begin() + o1, src.begin() + o1 + l1,
-                     src.begin() + o2, src.begin() + o2 + l2,
-                     dst.begin() + out_off, less);
-          next.emplace_back(out_off, l1 + l2);
-          out_off += l1 + l2;
-        }
-        if (runs.size() % 2 == 1) {
-          const auto [o, l] = runs.back();
-          std::copy(src.begin() + o, src.begin() + o + l,
-                    dst.begin() + out_off);
-          next.emplace_back(out_off, l);
-        }
+      // More runs: the k-way kernel's pairwise tree, into the spare.
+      comparisons = detail::merge_runs_into_spare(
+          comm, data, std::span<const std::span<const T>>(runs), by_key);
+      for (usize width = 1; width < runs.size(); width *= 2)
         comm.charge_merge_pass(n);
-        runs.swap(next);
-        std::swap(src, dst);
-      }
-      if (src.data() != data.data())
-        std::copy(src.begin(), src.end(), data.begin());
       comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
       return;
     }
     case MergeStrategy::Tournament: {
-      // The first run is the base of the two-segment loser-tree kernel and
-      // the others are its chunks. The output is the rank's spare buffer
-      // (Comm::spare), swapped into `data`, so the runs' buffer becomes the
-      // spare and a warm rank merges without allocating.
-      std::vector<std::span<const T>> runs;
-      usize off = 0;
-      for (usize c : counts) {
-        if (c > 0)
-          runs.emplace_back(std::span<const T>(data.data() + off, c));
-        off += c;
-      }
-      std::vector<T>& out = comm.spare<T>(n);
-      HDS_CHECK(&out != &data);
-      kway_merge_into(std::span<T>(out), runs.front(),
-                      std::span<const std::span<const T>>(runs).subspan(1),
-                      less);
-      data.swap(out);
+      const std::vector<std::span<const T>> runs =
+          detail::split_runs(data, counts);
+      comparisons = detail::merge_runs_into_spare(
+          comm, data, std::span<const std::span<const T>>(runs), by_key);
       comm.charge_kway_merge(n, nonempty);
       comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
       return;

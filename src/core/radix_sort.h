@@ -15,6 +15,10 @@
 //    ping-ponging between its scratch range and the same (already vacated)
 //    range of the input, so the last pass lands in the input. The whole
 //    sort touches DRAM about three times instead of once per pass;
+//  * where SSE2 is available, the element size divides a 64-byte line and
+//    no MSD bucket exceeds kStreamBucketMaxBytes, the MSD scatter writes
+//    its full lines with non-temporal stores through per-bucket line
+//    buffers, so the one DRAM-bound pass pays no read-for-ownership;
 //  * smaller arrays already fit in cache and run plain LSD on the same pass
 //    routine (the MSD split only adds bookkeeping there);
 //  * 8-bit digits; every LSD digit histogram of a range is built in one
@@ -34,11 +38,17 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/types.h"
 #include "core/key_traits.h"
@@ -52,6 +62,7 @@ struct RadixSortStats {
   usize passes_executed = 0;  ///< key bytes not constant across the input:
                               ///< the byte-digit scatter passes charged
   bool used_pairs = false;    ///< by-key path sorted (key, index) pairs
+  bool streamed = false;      ///< the MSD scatter used streaming stores
 };
 
 /// Whether radix-sorting T by `KeyFn` goes through materialized
@@ -80,6 +91,13 @@ inline constexpr usize kBuckets = usize{1} << kDigitBits;
 /// tied plain LSD at 1 MiB, won from 2 MiB up (2^20 u64 keys on 4 threads:
 /// 0.038 vs 0.080 s) and lost below 512 KiB (2^12 u64 keys: 3x slower).
 inline constexpr usize kMsdMinBytes = usize{1} << 20;
+
+/// The MSD scatter streams its output past the cache only when no bucket
+/// is larger than this: a bucket above it is not cache-resident in the LSD
+/// passes anyway, and on skewed input (Zipf keys) the streamed giant
+/// buckets were measured slower than plain stores. Same budget as
+/// kMsdMinBytes, a bucket plus its scratch range in a 2 MiB L2.
+inline constexpr usize kStreamBucketMaxBytes = kMsdMinBytes;
 
 /// The 8-bit digit of key image `k` at bit `shift`. The image is promoted
 /// to u64 first, so u8/u16 images never shift by their own width or more.
@@ -131,6 +149,65 @@ E* lsd_passes(E* a, E* b, usize n, std::span<const unsigned> shifts,
   }
   return a;
 }
+
+#if defined(__SSE2__)
+/// Whether scatter_streaming can write E into `b`: a trivially copyable
+/// element whose size divides a 64-byte line, and a scratch aligned to
+/// that size, so no element straddles a line.
+template <class E>
+bool can_stream(const E* b) {
+  if constexpr (std::is_trivially_copyable_v<E> && 64 % sizeof(E) == 0)
+    return reinterpret_cast<std::uintptr_t>(b) % sizeof(E) == 0;
+  return false;
+}
+
+/// Stable scatter of [a, a + n) into b by the digit at `shift`, bucket v
+/// filling b[pos[v] ..) (pos[v] ends one past its last element), through
+/// one 64-byte line buffer per bucket (16 KiB, in L1): a full destination
+/// line that belongs to one bucket is written with non-temporal stores,
+/// so it costs no read-for-ownership; a bucket's partial head and tail
+/// lines, shared with its neighbours, are written with plain stores.
+/// `start[v]` is bucket v's first index. Requires can_stream(b).
+template <class E, class KeyOf>
+void scatter_streaming(const E* a, E* b, usize n, unsigned shift,
+                       usize* pos, const usize* start, KeyOf key_of) {
+  constexpr usize kLine = 64;
+  constexpr usize L = kLine / sizeof(E);  // elements per line
+  alignas(kLine) std::byte lines[kBuckets * kLine] = {};
+  // Slot of index i within its destination line: (base + i) mod L.
+  const usize base =
+      (reinterpret_cast<std::uintptr_t>(b) / sizeof(E)) & (L - 1);
+  for (usize i = 0; i < n; ++i) {
+    const usize v = digit(key_of(a[i]), shift);
+    const usize idx = pos[v]++;
+    const usize slot = (base + idx) & (L - 1);
+    std::byte* const line = lines + v * kLine;
+    std::memcpy(line + slot * sizeof(E), &a[i], sizeof(E));
+    if (slot != L - 1) continue;
+    if (idx + 1 >= start[v] + L) {  // the whole line is bucket v's
+      const auto* src = reinterpret_cast<const __m128i*>(line);
+      auto* dst = reinterpret_cast<__m128i*>(b + (idx + 1 - L));
+      for (usize q = 0; q < kLine / 16; ++q)
+        _mm_stream_si128(dst + q, _mm_load_si128(src + q));
+    } else {  // the bucket's head line
+      const usize from = start[v];
+      std::memcpy(static_cast<void*>(b + from),
+                  line + (slot + 1 - (idx + 1 - from)) * sizeof(E),
+                  (idx + 1 - from) * sizeof(E));
+    }
+  }
+  for (usize v = 0; v < kBuckets; ++v) {  // partial tail lines
+    const usize end = pos[v];
+    const usize filled = (base + end) & (L - 1);
+    const usize from = std::max(end - std::min(end, filled), start[v]);
+    if (from == end) continue;
+    std::memcpy(static_cast<void*>(b + from),
+                lines + v * kLine + (filled - (end - from)) * sizeof(E),
+                (end - from) * sizeof(E));
+  }
+  _mm_sfence();
+}
+#endif
 
 /// Radix sort of `data` by an unsigned key projection `key_of`, called a
 /// bounded number of times per element (once per read or scatter of it).
@@ -185,8 +262,18 @@ RadixSortStats radix_sort_impl(std::span<E> data, KeyOf key_of,
   for (usize v = 0; v < kBuckets; ++v) start[v + 1] += start[v];
   std::array<usize, kBuckets> pos{};
   std::copy_n(start.begin(), kBuckets, pos.begin());
-  for (usize i = 0; i < n; ++i)
-    b[pos[digit(key_of(a[i]), msd)]++] = std::move(a[i]);
+#if defined(__SSE2__)
+  usize largest = 0;
+  for (usize v = 0; v < kBuckets; ++v)
+    largest = std::max(largest, start[v + 1] - start[v]);
+  if (can_stream(b) && largest * sizeof(E) <= kStreamBucketMaxBytes) {
+    scatter_streaming(a, b, n, msd, pos.data(), start.data(), key_of);
+    st.streamed = true;
+  }
+#endif
+  if (!st.streamed)
+    for (usize i = 0; i < n; ++i)
+      b[pos[digit(key_of(a[i]), msd)]++] = std::move(a[i]);
 
   // Inside a bucket only bits below `msd` vary: LSD over the bytes of those
   // that vary anywhere. A digit that reaches into the bucket-constant bits

@@ -1,10 +1,12 @@
 // Tests for the local k-way merge strategies (Sec. V-C): the k-way
-// loser-tree kernel, binary merge tree, re-sort and the cost-priced Auto
+// merge kernel, binary merge tree, re-sort and the cost-priced Auto
 // dispatch between them, against std::sort / std::stable_sort oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <string>
 
 #include "common/rng.h"
 #include "core/merge.h"
@@ -190,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStabilityTest,
                          });
 
 // ---------------------------------------------------------------------------
-// The k-way loser-tree kernel (kway_merge_into) on its own.
+// The k-way merge kernel (kway_merge_into) on its own.
 // ---------------------------------------------------------------------------
 
 /// kway_merge_into over `runs`: the first is the base, the rest the chunks.
@@ -206,17 +208,17 @@ std::vector<T> kway_merge(const std::vector<std::vector<T>>& runs) {
   return out;
 }
 
-TEST(LoserTreeTest, PopsInGlobalOrder) {
+TEST(KWayMergeTest, PopsInGlobalOrder) {
   const std::vector<std::vector<u32>> runs = {{1, 4, 9}, {2, 3, 10}, {0, 5}};
   EXPECT_EQ(kway_merge(runs), (std::vector<u32>{0, 1, 2, 3, 4, 5, 9, 10}));
 }
 
-TEST(LoserTreeTest, SingleRun) {
+TEST(KWayMergeTest, SingleRun) {
   const std::vector<std::vector<u32>> runs = {{3, 7, 11}};
   EXPECT_EQ(kway_merge(runs), runs[0]);
 }
 
-TEST(LoserTreeTest, StressAgainstSort) {
+TEST(KWayMergeTest, StressAgainstSort) {
   Xoshiro256 rng(10);
   for (int trial = 0; trial < 20; ++trial) {
     const usize k = 1 + rng() % 12;
@@ -231,6 +233,154 @@ TEST(LoserTreeTest, StressAgainstSort) {
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(kway_merge(chunks), expected) << "trial " << trial;
   }
+}
+
+/// A (key, payload) record; the payload is the element's input index.
+struct KeyedRec {
+  u64 key;
+  u64 payload;
+};
+
+/// k sorted runs of `sizes[r]` records; keys from `draw`, payloads the
+/// input index, so a stable merge is fully determined.
+template <class Draw>
+std::vector<std::vector<KeyedRec>> keyed_runs(const std::vector<usize>& sizes,
+                                              Draw draw) {
+  std::vector<std::vector<KeyedRec>> runs;
+  u64 idx = 0;
+  for (const usize sz : sizes) {
+    std::vector<KeyedRec> run(sz);
+    for (auto& e : run) e.key = draw();
+    std::stable_sort(run.begin(), run.end(),
+                     [](const KeyedRec& a, const KeyedRec& b) {
+                       return a.key < b.key;
+                     });
+    for (auto& e : run) e.payload = idx++;
+    runs.push_back(std::move(run));
+  }
+  return runs;
+}
+
+/// kway_merge_into (first run the base) must equal std::stable_sort of
+/// the concatenation byte for byte.
+void expect_stable_kway(const std::vector<std::vector<KeyedRec>>& runs,
+                        const std::string& what) {
+  auto less = [](const KeyedRec& a, const KeyedRec& b) {
+    return a.key < b.key;
+  };
+  std::vector<KeyedRec> expected;
+  for (const auto& r : runs)
+    expected.insert(expected.end(), r.begin(), r.end());
+  std::stable_sort(expected.begin(), expected.end(), less);
+  const std::vector<std::span<const KeyedRec>> chunks(runs.begin() + 1,
+                                                      runs.end());
+  std::vector<KeyedRec> out(expected.size());
+  kway_merge_into(std::span<KeyedRec>(out),
+                  std::span<const KeyedRec>(runs.front()),
+                  std::span<const std::span<const KeyedRec>>(chunks), less);
+  ASSERT_EQ(std::memcmp(out.data(), expected.data(),
+                        out.size() * sizeof(KeyedRec)),
+            0)
+      << what;
+}
+
+TEST(KWayMergeTest, StableAgainstStableSortAcrossFanIn) {
+  // k = 1..17 with empty runs among them, on four key distributions: few
+  // distinct keys, all equal, one key holding more than half, and
+  // uniform. At these totals (below one full segment per lane) every group
+  // shrinks its segments to fit its levels into dst's tail, and the merge
+  // ends in head selection.
+  Xoshiro256 rng(31);
+  for (usize k = 1; k <= 17; ++k) {
+    std::vector<usize> sizes(k);
+    for (usize r = 0; r < k; ++r)
+      sizes[r] = r % 4 == 2 ? 0 : 600 + rng() % (40000 / k);
+    const std::vector<std::pair<const char*, std::function<u64()>>> dists = {
+        {"few", [&] { return rng() % 7; }},
+        {"equal", [] { return u64{42}; }},
+        {"majority", [&] { return rng() % 10 < 6 ? u64{500} : rng() % 1000; }},
+        {"uniform", [&] { return rng(); }},
+    };
+    for (const auto& [name, draw] : dists)
+      expect_stable_kway(keyed_runs(sizes, draw),
+                         "k=" + std::to_string(k) + " " + name);
+  }
+}
+
+TEST(KWayMergeTest, StableAcrossSegmentAndGroupBoundaries) {
+  // 16-byte records: a full segment is 32768 elements. A group of four
+  // segments needs room for one (k <= 4) or two (k >= 5) intermediate
+  // buffers behind its output, so full groups start at 8 or 12 segments
+  // left; below that the segments shrink, and the last few elements go
+  // through head selection. Totals on both sides of each edge.
+  constexpr usize kSeg = detail::kMergeSegmentBytes / sizeof(KeyedRec);
+  Xoshiro256 rng(32);
+  for (const usize total : {usize{700}, kSeg - 1, 8 * kSeg - 1, 8 * kSeg + 1,
+                            12 * kSeg + 7}) {
+    for (const usize k : {2, 3, 5, 16}) {
+      std::vector<usize> sizes(k, total / k);
+      sizes.back() += total % k;
+      expect_stable_kway(
+          keyed_runs(sizes,
+                     [&] { return rng() % 4 == 0 ? rng() % 64 : u64{7}; }),
+          "majority total=" + std::to_string(total) +
+              " k=" + std::to_string(k));
+      expect_stable_kway(keyed_runs(sizes, [&] { return rng(); }),
+                         "uniform total=" + std::to_string(total) +
+                             " k=" + std::to_string(k));
+    }
+  }
+}
+
+TEST(KWayMergeTest, ManyTinyRuns) {
+  // Fan-in far above the segment count: 1024 one- or two-element runs in
+  // ascending, descending and random key order.
+  for (const int order : {0, 1, 2}) {
+    Xoshiro256 rng(34);
+    std::vector<usize> sizes(1024);
+    for (auto& sz : sizes) sz = 1 + rng() % 2;
+    u64 next = 0;
+    auto runs = keyed_runs(sizes, [&] {
+      ++next;
+      return order == 0 ? next : order == 1 ? 1'000'000 - next : rng() % 500;
+    });
+    expect_stable_kway(runs, "tiny runs, order " + std::to_string(order));
+  }
+}
+
+TEST(KWayMergeTest, DisjointAndInterleavedRunRanges) {
+  // Runs holding disjoint key ranges (every 2-way merge one long side and
+  // an exhausted other), in both run orders, and one run of a few large
+  // keys against long runs of small ones (the galloping finish).
+  std::vector<std::vector<KeyedRec>> runs;
+  for (const bool descending : {false, true}) {
+    u64 idx = 0;
+    runs.clear();
+    for (usize r = 0; r < 6; ++r) {
+      const u64 band = descending ? 5 - r : r;
+      std::vector<KeyedRec> run(30000);
+      for (usize i = 0; i < run.size(); ++i)
+        run[i] = KeyedRec{band * 1'000'000 + i * 3, idx++};
+      runs.push_back(std::move(run));
+    }
+    expect_stable_kway(runs, descending ? "disjoint descending"
+                                        : "disjoint ascending");
+  }
+  Xoshiro256 rng(33);
+  const std::vector<usize> sizes = {50000, 5, 50000, 17, 3};
+  u64 idx = 0;
+  runs.clear();
+  for (const usize sz : sizes) {
+    std::vector<KeyedRec> run(sz);
+    for (auto& e : run)
+      e.key = sz < 100 ? 1'000'000 + rng() % 10 : rng() % 1000;
+    std::sort(run.begin(), run.end(), [](const KeyedRec& a, const KeyedRec& b) {
+      return a.key < b.key;
+    });
+    for (auto& e : run) e.payload = idx++;
+    runs.push_back(std::move(run));
+  }
+  expect_stable_kway(runs, "few large keys");
 }
 
 TEST(MergeCosts, TournamentChargedByLogK) {

@@ -1,6 +1,7 @@
 // The local-sort kernel layer: radix sort property tests against std::sort
 // over every KeyTraits type (including IEEE specials) on both sides of the
-// MSD-split threshold, skewed MSD buckets, stability, pass-skipping stats,
+// MSD-split threshold, skewed MSD buckets, stability, the streaming MSD
+// scatter at every scratch alignment, pass-skipping stats,
 // batched binary searches, the Auto crossover, and the kernel x
 // exchange-algorithm grid through the full distributed sort.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -257,6 +259,104 @@ TEST(RadixMsd, SixteenByteRecordsStableBothSides) {
           << "n=" << n << " mask=" << mask;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The streaming MSD scatter: element sizes 4 to 32 bytes, the scratch at
+// every 8-byte offset from a 64-byte line, both sides of the skew guard.
+// ---------------------------------------------------------------------------
+
+struct Rec8 {
+  u32 key;
+  u32 seq;
+};
+struct Rec16 {
+  u64 key;
+  u64 seq;
+};
+struct Rec24 {  // does not divide a line: always the plain scatter
+  u64 key;
+  u64 seq;
+  u64 pad;
+};
+struct Rec32 {
+  u64 key;
+  u64 seq;
+  u64 pad[2];
+};
+
+/// radix_sort_impl of `data` with its scratch `misalign` bytes past a line
+/// boundary; the output must equal std::stable_sort by key byte for byte.
+/// Returns whether the MSD scatter streamed.
+template <class E, class KeyOf>
+bool sort_with_scratch_at(std::vector<E> data, usize misalign, KeyOf key_of) {
+  auto less = [&](const E& a, const E& b) { return key_of(a) < key_of(b); };
+  std::vector<E> expected = data;
+  std::stable_sort(expected.begin(), expected.end(), less);
+  const usize n = data.size();
+  std::vector<std::byte> raw(n * sizeof(E) + 128);
+  const auto addr = reinterpret_cast<std::uintptr_t>(raw.data());
+  std::byte* const at = raw.data() + (64 - addr % 64) % 64 + misalign;
+  const RadixSortStats st = radix_detail::radix_sort_impl(
+      std::span<E>(data), key_of,
+      std::span<E>(reinterpret_cast<E*>(at), n));
+  EXPECT_EQ(std::memcmp(data.data(), expected.data(), n * sizeof(E)), 0)
+      << sizeof(E) << "-byte elements, scratch at +" << misalign;
+  return st.streamed;
+}
+
+/// Every 8-byte misalignment, on uniform keys (every MSD bucket far below
+/// the streaming budget) and on keys of which 60% are one value (one
+/// bucket above it). `make(key, seq)` builds an element.
+template <class E, class Make, class KeyOf>
+void streaming_scatter_cases(Make make, KeyOf key_of) {
+  // Twice the MSD threshold, so every sort takes the MSD split.
+  const usize n = 2 * radix_detail::kMsdMinBytes / sizeof(E) + 13;
+  Xoshiro256 rng(90 + sizeof(E));
+  for (const bool skewed : {false, true}) {
+    std::vector<E> data(n);
+    for (usize i = 0; i < n; ++i)
+      data[i] = make(skewed && rng() % 10 < 6 ? u64{12345} : rng(), i);
+    for (usize misalign = 0; misalign < 64; misalign += 8) {
+      bool want = false;
+#if defined(__SSE2__)
+      want = !skewed && 64 % sizeof(E) == 0 && misalign % sizeof(E) == 0;
+#endif
+      EXPECT_EQ(sort_with_scratch_at(data, misalign, key_of), want)
+          << sizeof(E) << "-byte elements, scratch at +" << misalign
+          << (skewed ? ", skewed" : ", uniform");
+    }
+  }
+}
+
+TEST(RadixStreamingScatter, FourByteKeys) {
+  streaming_scatter_cases<u32>([](u64 k, usize) { return static_cast<u32>(k); },
+                               [](u32 v) { return v; });
+}
+
+TEST(RadixStreamingScatter, EightByteRecords) {
+  streaming_scatter_cases<Rec8>(
+      [](u64 k, usize i) {
+        return Rec8{static_cast<u32>(k), static_cast<u32>(i)};
+      },
+      [](const Rec8& r) { return r.key; });
+}
+
+TEST(RadixStreamingScatter, SixteenByteRecords) {
+  streaming_scatter_cases<Rec16>([](u64 k, usize i) { return Rec16{k, i}; },
+                                 [](const Rec16& r) { return r.key; });
+}
+
+TEST(RadixStreamingScatter, TwentyFourByteRecordsStayPlain) {
+  streaming_scatter_cases<Rec24>(
+      [](u64 k, usize i) { return Rec24{k, i, ~u64{0}}; },
+      [](const Rec24& r) { return r.key; });
+}
+
+TEST(RadixStreamingScatter, ThirtyTwoByteRecords) {
+  streaming_scatter_cases<Rec32>(
+      [](u64 k, usize i) { return Rec32{k, i, {i, ~i}}; },
+      [](const Rec32& r) { return r.key; });
 }
 
 // ---------------------------------------------------------------------------

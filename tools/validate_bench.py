@@ -10,10 +10,13 @@ One entry point replaces the inline python blocks ci.sh used to carry:
     validate_bench.py ledger     ledger.json [ledger2.json ...]
 
 Kinds and their gates (unchanged from the historical ci.sh heredocs):
-  local_sort  cell shape; the radix kernel must beat std::sort at
-              n = 2^20 on uniform u64 keys and on 16-byte u64x2_record
-              records, which it sorts in place (the wall-clock claims
-              behind Auto dispatch for keys and for records).
+  local_sort  cell shape (median, quartiles and reps on every cell); the
+              radix kernel must beat std::sort at n = 2^20 on uniform u64
+              keys and on 16-byte u64x2_record records, which it sorts in
+              place (the wall-clock claims behind Auto dispatch for keys
+              and for records); and the k = 4 k-way merge must beat the
+              radix re-sort of the same runs on both types (the premise
+              of MergeStrategy::Auto merging at small fan-in).
   exchange    cell shape incl. per-round k-ary breakdowns: alltoallv
               exchange and exchange+merge cells at every (type, P), and
               k-ary cells carrying their speedup over the alltoallv
@@ -70,9 +73,22 @@ def check_local_sort(path: str) -> None:
     require(isinstance(cells, list) and bool(cells),
             f"{path}: empty or malformed JSON")
     for c in cells:
-        for k in ("type", "n", "kernel", "seconds_median",
-                  "speedup_vs_comparison"):
+        for k in ("type", "n", "kernel", "seconds_median", "seconds_p25",
+                  "seconds_p75", "reps"):
             require(k in c, f"missing field {k}: {c}")
+        require(c["reps"] >= 1 and
+                c["seconds_p25"] <= c["seconds_median"] <= c["seconds_p75"],
+                f"bad reps or quartiles: {c}")
+        if c["kernel"] in ("comparison", "radix"):
+            require("speedup_vs_comparison" in c,
+                    f"missing field speedup_vs_comparison: {c}")
+        else:
+            require(c["kernel"] in ("kway_merge", "radix_resort"),
+                    f"unknown kernel: {c}")
+            require(c.get("k", 0) >= 2, f"merge cell without k: {c}")
+            if c["kernel"] == "kway_merge":
+                require("speedup_vs_resort" in c,
+                        f"missing field speedup_vs_resort: {c}")
     speedups = []
     for t in ("u64", "u64x2_record"):
         target = [c for c in cells
@@ -85,6 +101,20 @@ def check_local_sort(path: str) -> None:
         speedups.append(f"{speedup:.2f}x on {t}")
     print(f"perf smoke OK: radix faster than std::sort at n=2^20 "
           f"({', '.join(speedups)})")
+    merges = []
+    for t in ("u64", "u64x2_record"):
+        for kernel in ("kway_merge", "radix_resort"):
+            require(any(c["type"] == t and c["kernel"] == kernel and
+                        c.get("k") == 4 for c in cells),
+                    f"no {t} k=4 {kernel} cell")
+        cell = next(c for c in cells if c["type"] == t and
+                    c["kernel"] == "kway_merge" and c.get("k") == 4)
+        speedup = cell["speedup_vs_resort"]
+        require(speedup > 1.0,
+                f"k=4 merge lost to the radix re-sort on {t}: {speedup}x")
+        merges.append(f"{speedup:.2f}x on {t}")
+    print(f"merge smoke OK: k=4 merge faster than the radix re-sort "
+          f"({', '.join(merges)})")
 
 
 def check_exchange(path: str) -> None:
